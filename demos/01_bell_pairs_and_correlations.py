@@ -16,7 +16,7 @@ from coreqkd import (
     density,
     expectation,
     mismatched_pair_density,
-    partial_trace,
+    partial_trace_register,
     random_direction,
 )
 
@@ -31,8 +31,8 @@ for s in BellState:
 print()
 print("Each half of an entangled pair, taken alone, is featureless:")
 rho = density(bell_state(BellState.PSI_MINUS))
-print("  reduced first half :", np.round(partial_trace(rho, 'first').real, 3).tolist())
-print("  reduced second half:", np.round(partial_trace(rho, 'second').real, 3).tolist())
+print("  reduced first half :", np.round(partial_trace_register(rho, 2, [0]).real, 3).tolist())
+print("  reduced second half:", np.round(partial_trace_register(rho, 2, [1]).real, 3).tolist())
 
 print()
 print("So two halves from *different* pairs carry no correlation at all:")

@@ -16,7 +16,7 @@ from coreqkd import (
     UnrealizableError,
     apply_core,
     invert_core,
-    key_stream,
+    op_index_for_block,
     perm_to_schedule,
     schedule_to_perm,
 )
@@ -36,8 +36,7 @@ for op in ops:
 print()
 print("A control key drives one op per block, cyclically:")
 key = ControlKey.from_bits("0111")
-stream = key_stream(key, GroupConfig(group_size=2), ops)
-picks = [next(stream).index for _ in range(8)]
+picks = [op_index_for_block(key, GroupConfig(group_size=2), t) for t in range(8)]
 print(f"  key bits {key.as_bit_string()} (indices {key.op_indices}), "
       f"groups of 2 blocks -> E{picks}")
 

@@ -40,7 +40,6 @@ from .protocol import (
     SessionTranscript,
     VerdictReport,
     alice_prepare_block,
-    eavesdrop_check,
     extract_raw_key,
     guess_probability,
     run_bootstrap_session,
@@ -59,12 +58,10 @@ from .quantum import (
     density,
     expectation,
     mismatched_pair_density,
-    partial_trace,
     partial_trace_register,
     pauli_along,
     random_direction,
     tensor,
-    z_measure,
 )
 from .rearrange import (
     CollisionError,
@@ -78,7 +75,6 @@ from .rearrange import (
     UnrealizableError,
     apply_core,
     invert_core,
-    key_stream,
     op_index_for_block,
     perm_to_schedule,
     schedule_to_perm,

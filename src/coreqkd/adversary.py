@@ -24,6 +24,8 @@ from .quantum import (
     BellState,
     Direction,
     StateVector,
+    _from_front,
+    _to_front,
     bell_measure,
     bell_outcome_probabilities,
     bell_project,
@@ -89,7 +91,6 @@ class GuessEntry:
     block: int
     guess_index: int
     measured: tuple[BellState, ...]
-    resent: tuple[BellState, ...]
 
 
 @dataclass
@@ -152,17 +153,13 @@ def eve_bell_probe(
     op = correlation_operator(a, b)
     eye = np.eye(4, dtype=complex)
     projectors = ((eye + op) / 2.0, (eye - op) / 2.0)
-    n = register.n_qubits
-    psi = register.amps.reshape([2] * n)
-    moved = np.moveaxis(psi, (qubit_a, qubit_b), (0, 1)).reshape(4, -1)
+    duo = (qubit_a, qubit_b)
+    moved = _to_front(register, duo)
     branches = [proj @ moved for proj in projectors]
     probs = [float((np.abs(br) ** 2).sum()) for br in branches]
     k = sample_index(probs, rng)
     block = branches[k] / math.sqrt(probs[k])
-    amps = np.moveaxis(
-        block.reshape([2, 2] + [2] * (n - 2)), (0, 1), (qubit_a, qubit_b)
-    ).reshape(-1)
-    return (1 if k == 0 else -1), StateVector(amps)
+    return (1 if k == 0 else -1), _from_front(block, register.n_qubits, duo)
 
 
 def intercept(
@@ -193,7 +190,7 @@ def intercept(
             register, upper, lower, op_set[guess_index], rng
         )
         if log is not None:
-            log.guesses.append(GuessEntry(block_index, guess_index, symbols, symbols))
+            log.guesses.append(GuessEntry(block_index, guess_index, symbols))
         return register, guess_index
     # bell_probe: interrogate slot-aligned duos, one per budget unit
     assert strategy.a is not None and strategy.b is not None
@@ -237,7 +234,6 @@ def exact_guess_attack_pair_distributions(
     symbols: Sequence[BellState],
     true_op: CoreOp,
     guess: CoreOp,
-    op_set: CoreOpSet | None = None,
 ) -> np.ndarray:
     """Bob's exact per-pair Bell-outcome distributions after an interception.
 
@@ -246,7 +242,6 @@ def exact_guess_attack_pair_distributions(
     restored pair on Bob's side. Returns an array of shape (block, 4) whose
     row k is the distribution over Bell outcomes for pair k.
     """
-    del op_set  # pairing is fully determined by the two ops
     register, upper, lower_base = _block_register(symbols)
     lower = apply_core(true_op, lower_base)
     eve_duos = list(zip(upper, invert_core(guess, lower)))

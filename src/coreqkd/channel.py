@@ -63,34 +63,20 @@ def transmit(
     op_set: CoreOpSet,
     block_index: int = 0,
     log: EveLog | None = None,
-    noise_first: bool = False,
 ) -> tuple[TransitBlock, int | None]:
     """Transport one block through both insecure lines.
 
     Applies the adversary strategy (if any), then per-qubit depolarizing
     noise on every transmitted qubit; with no adversary and zero noise the
-    delivery is exact. ``noise_first`` moves the noise in front of the
-    adversary for a far-side eavesdropper. Returns the delivered block and
-    the adversary's guessed op index, when the strategy guesses one.
+    delivery is exact. Returns the delivered block and the adversary's
+    guessed op index, when the strategy guesses one.
     """
     register = block.register
     guess: int | None = None
-
-    def run_eve(reg: StateVector) -> StateVector:
-        nonlocal guess
-        if eve is not None and eve.kind != "none":
-            reg, guess = adversary.intercept(
-                eve, reg, block.upper, block.lower, block_index, op_set, rng, log
-            )
-        return reg
-
-    def run_noise(reg: StateVector) -> StateVector:
-        if noise > 0.0:
-            return depolarize(reg, block.upper + block.lower, noise, rng)
-        return reg
-
-    if noise_first:
-        register = run_eve(run_noise(register))
-    else:
-        register = run_noise(run_eve(register))
+    if eve is not None and eve.kind != "none":
+        register, guess = adversary.intercept(
+            eve, register, block.upper, block.lower, block_index, op_set, rng, log
+        )
+    if noise > 0.0:
+        register = depolarize(register, block.upper + block.lower, noise, rng)
     return TransitBlock(register, block.upper, block.lower), guess

@@ -24,7 +24,8 @@ section headers (INI syntax, parsed with the standard library)::
     [eve]                       ; optional, default none
     kind = guess_core           ; none | guess_core | known_key | bell_probe
     weights = 0.25 0.25 0.25 0.25
-    key = 0001                  ; known_key: Eve's bit string (empty = session key)
+    key = 0001                  ; known_key: Eve's bit string; empty = the session
+                                ; key, still hers when key_lengths redraws it
     a = 1 0 0                   ; bell_probe directions (normalised on parse)
     b = 0 0 1
     budget = 1
@@ -42,6 +43,15 @@ section headers (INI syntax, parsed with the standard library)::
     loop_delay = 4
     max_circuits = 2
 
+When ``[device]`` or ``[rearrangement]`` is present, every permutation of
+the op set must be realisable on the device (the default geometry if no
+``[device]`` is given): loading fails with a ``ConfigError`` naming the
+section otherwise.
+
+Reports are CSV (header plus one line per sweep point; fields holding a
+comma, quote or line break are quoted) or JSON lines. Both parse back with
+``parse_report`` to equal rows, and CSV re-emits byte for byte.
+
 Per-trial seeds are derived from the master seed with numpy's splittable
 ``SeedSequence`` keyed by (sweep point index, trial index), so serial and
 parallel execution see identical statistics.
@@ -50,10 +60,11 @@ parallel execution see identical statistics.
 from __future__ import annotations
 
 import configparser
+import csv
 import io
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Iterable
 
 import numpy as np
@@ -66,7 +77,14 @@ from .protocol import (
     run_keyed_session,
 )
 from .quantum import Direction
-from .rearrange import ControlKey, CoreOpSet, DeviceModel, GroupConfig
+from .rearrange import (
+    ControlKey,
+    CoreOpSet,
+    DeviceModel,
+    GroupConfig,
+    UnrealizableError,
+    perm_to_schedule,
+)
 
 
 class ConfigError(ValueError):
@@ -94,7 +112,6 @@ class ExperimentSpec:
     sweep: SweepAxes = SweepAxes()
     out: str | None = None
     fmt: str = "csv"
-    device: DeviceModel = DeviceModel()
 
     def __post_init__(self) -> None:
         if self.trials < 1:
@@ -127,29 +144,12 @@ class ReportRow:
     probe_se: float | None
 
 
-REPORT_COLUMNS = (
-    "experiment",
-    "noise",
-    "eve",
-    "n_k",
-    "n_blocks",
-    "trials",
-    "mean_error_rate",
-    "error_rate_se",
-    "wrong_guess_error_rate",
-    "wrong_guess_error_se",
-    "sift_rate",
-    "sift_rate_se",
-    "key_bits",
-    "key_bits_se",
-    "eve_accuracy",
-    "eve_accuracy_se",
-    "probe_mean",
-    "probe_se",
-)
-
-_INT_COLUMNS = {"n_k", "n_blocks", "trials"}
-_STR_COLUMNS = {"experiment", "eve"}
+REPORT_COLUMNS = tuple(f.name for f in fields(ReportRow))
+# The six columns that name a sweep cell are followed by (mean, standard
+# error) pairs, one per statistic of ``_trial_stats``.
+_STAT_COLUMNS = tuple(zip(REPORT_COLUMNS[6::2], REPORT_COLUMNS[7::2]))
+_INT_COLUMNS = {f.name for f in fields(ReportRow) if f.type == "int"}
+_STR_COLUMNS = {f.name for f in fields(ReportRow) if f.type == "str"}
 
 
 # ---------------------------------------------------------------------------
@@ -205,14 +205,15 @@ def _trial_stats(transcript: SessionTranscript) -> dict:
     verdict = transcript.verdict
     probe = transcript.eve_log.probe_mean if transcript.eve_log else None
     key_bits = len(transcript.raw_key()) if transcript.accepted else 0
-    return {
-        "mean_error_rate": verdict.measured_error_rate if verdict else None,
-        "wrong_guess_error_rate": transcript.wrong_guess_error_rate(),
-        "sift_rate": transcript.sift_rate if transcript.mode == "bootstrap" else None,
-        "key_bits": float(key_bits),
-        "eve_accuracy": transcript.eve_bit_accuracy(),
-        "probe_mean": probe,
-    }
+    values = (
+        verdict.measured_error_rate if verdict else None,
+        transcript.wrong_guess_error_rate(),
+        transcript.sift_rate if transcript.mode == "bootstrap" else None,
+        float(key_bits),
+        transcript.eve_bit_accuracy(),
+        probe,
+    )
+    return {mean: v for (mean, _), v in zip(_STAT_COLUMNS, values, strict=True)}
 
 
 def _mean_se(values: list[float | None]) -> tuple[float | None, float | None]:
@@ -233,13 +234,17 @@ def run_trial(spec: ExperimentSpec, point: dict, point_index: int, trial_index: 
     if point["n_k"] != control_key.n_k:
         key_rng = np.random.default_rng(trial_seed(spec.seed, point_index, 2**20 + trial_index))
         control_key = ControlKey.random(point["n_k"], key_rng)
+    template = session.eve
+    if template is not None and template.kind == "known_key" and template.key == session.control_key:
+        # Eve holds the session's key, so she holds the key drawn for this trial.
+        template = replace(template, key=control_key)
     cfg = replace(
         session,
         seed=seed,
         noise=point["noise"],
         n_blocks=point["n_blocks"],
         control_key=control_key,
-        eve=_eve_for_kind(point["eve"], session.eve, replace(session, control_key=control_key)),
+        eve=_eve_for_kind(point["eve"], template, replace(session, control_key=control_key)),
     )
     if cfg.mode == "bootstrap":
         _, transcript = run_bootstrap_session(cfg)
@@ -251,19 +256,14 @@ def run_experiment(spec: ExperimentSpec) -> list[ReportRow]:
     """Execute the full sweep grid; deterministic given (spec, seed)."""
     rows = []
     for point_index, point in enumerate(_grid(spec)):
-        per_trial: dict[str, list] = {k: [] for k in (
-            "mean_error_rate",
-            "wrong_guess_error_rate",
-            "sift_rate",
-            "key_bits",
-            "eve_accuracy",
-            "probe_mean",
-        )}
+        per_trial: dict[str, list] = {mean: [] for mean, _ in _STAT_COLUMNS}
         for trial_index in range(spec.trials):
             transcript = run_trial(spec, point, point_index, trial_index)
             for k, v in _trial_stats(transcript).items():
                 per_trial[k].append(v)
-        stats = {k: _mean_se(v) for k, v in per_trial.items()}
+        stats = {}
+        for mean, se in _STAT_COLUMNS:
+            stats[mean], stats[se] = _mean_se(per_trial[mean])
         rows.append(
             ReportRow(
                 experiment=spec.name,
@@ -272,18 +272,7 @@ def run_experiment(spec: ExperimentSpec) -> list[ReportRow]:
                 n_k=int(point["n_k"]),
                 n_blocks=int(point["n_blocks"]),
                 trials=spec.trials,
-                mean_error_rate=stats["mean_error_rate"][0],
-                error_rate_se=stats["mean_error_rate"][1],
-                wrong_guess_error_rate=stats["wrong_guess_error_rate"][0],
-                wrong_guess_error_se=stats["wrong_guess_error_rate"][1],
-                sift_rate=stats["sift_rate"][0],
-                sift_rate_se=stats["sift_rate"][1],
-                key_bits=stats["key_bits"][0],
-                key_bits_se=stats["key_bits"][1],
-                eve_accuracy=stats["eve_accuracy"][0],
-                eve_accuracy_se=stats["eve_accuracy"][1],
-                probe_mean=stats["probe_mean"][0],
-                probe_se=stats["probe_mean"][1],
+                **stats,
             )
         )
     return rows
@@ -301,14 +290,25 @@ def _cell(value) -> str:
     return str(value)
 
 
+def _csv_line(cells: Iterable[str]) -> str:
+    """One CSV record ending in a bare newline."""
+    out = io.StringIO()
+    # A "\r\n" terminator makes the writer quote a field holding either character.
+    csv.writer(out, lineterminator="\r\n").writerow(cells)
+    return out.getvalue()[:-2] + "\n"
+
+
 def emit_report(rows: Iterable[ReportRow], fmt: str = "csv") -> str:
-    """Render rows as CSV (header + one line per row) or JSON lines."""
-    rows = list(rows)
+    """Render rows as CSV (header + one line per row) or JSON lines.
+
+    CSV fields holding a comma, a quote or a line break are quoted, so any
+    row parses back with ``parse_report``.
+    """
     if fmt == "csv":
-        lines = [",".join(REPORT_COLUMNS)]
+        lines = [_csv_line(REPORT_COLUMNS)]
         for row in rows:
-            lines.append(",".join(_cell(getattr(row, c)) for c in REPORT_COLUMNS))
-        return "\n".join(lines) + "\n"
+            lines.append(_csv_line([_cell(getattr(row, c)) for c in REPORT_COLUMNS]))
+        return "".join(lines)
     if fmt == "jsonl":
         out = io.StringIO()
         for row in rows:
@@ -322,13 +322,15 @@ def parse_report(text: str, fmt: str = "csv") -> list[ReportRow]:
     """Parse a report back into rows; inverse of ``emit_report``."""
     rows = []
     if fmt == "csv":
-        lines = [ln for ln in text.split("\n") if ln]
-        if not lines or lines[0] != ",".join(REPORT_COLUMNS):
+        try:
+            records = [r for r in csv.reader(io.StringIO(text, newline="")) if r]
+        except csv.Error as exc:
+            raise ConfigError(f"bad CSV report: {exc}") from exc
+        if not records or tuple(records[0]) != REPORT_COLUMNS:
             raise ConfigError("missing or unexpected CSV header")
-        for ln in lines[1:]:
-            cells = ln.split(",")
+        for cells in records[1:]:
             if len(cells) != len(REPORT_COLUMNS):
-                raise ConfigError(f"bad CSV row: {ln!r}")
+                raise ConfigError(f"bad CSV row: {cells!r}")
             rows.append(ReportRow(**{
                 c: _parse_cell(c, cell) for c, cell in zip(REPORT_COLUMNS, cells)
             }))
@@ -495,6 +497,13 @@ def _spec_from_parser(parser: configparser.ConfigParser, source: str) -> Experim
             )
         except ValueError as exc:
             raise ConfigError(f"{source}: [device]: {exc}")
+    if parser.has_section("device") or parser.has_section("rearrangement"):
+        section = "device" if parser.has_section("device") else "rearrangement"
+        for op in op_set:
+            try:
+                perm_to_schedule(op.perm, device)
+            except UnrealizableError as exc:
+                raise ConfigError(f"{source}: [{section}]: op {op.index}: {exc}")
 
     try:
         return ExperimentSpec(
@@ -505,27 +514,9 @@ def _spec_from_parser(parser: configparser.ConfigParser, source: str) -> Experim
             sweep=sweep,
             out=(exp.get("out", "").strip() or None),
             fmt=exp.get("format", "csv").strip(),
-            device=device,
         )
     except ValueError as exc:
         raise ConfigError(f"{source}: [experiment]: {exc}")
-
-
-def session_to_config(cfg: SessionConfig) -> dict[str, str]:
-    """Serialise a session config to the flat key = value form."""
-    out = {
-        "mode": cfg.mode,
-        "n_blocks": str(cfg.n_blocks),
-        "block_size": str(cfg.block_size),
-        "control_key": cfg.control_key.as_bit_string(),
-        "group_size": str(cfg.group.group_size),
-        "check_fraction": repr(cfg.check_fraction),
-        "error_threshold": repr(cfg.error_threshold),
-        "noise": repr(cfg.noise),
-    }
-    if cfg.requested_key_bits is not None:
-        out["requested_key_bits"] = str(cfg.requested_key_bits)
-    return out
 
 
 # ---------------------------------------------------------------------------

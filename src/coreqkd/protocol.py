@@ -28,7 +28,7 @@ from .rearrange import (
     GroupConfig,
     apply_core,
     invert_core,
-    key_stream,
+    op_index_for_block,
 )
 
 MODES = ("keyed", "bootstrap")
@@ -206,10 +206,16 @@ def _check_records(
     check_fraction: float,
     threshold: float,
     rng: np.random.Generator,
-    eligible: Sequence[int] | None = None,
+    eligible: Sequence[int],
 ) -> tuple[VerdictReport, list[PairRecord]]:
-    """Mark a random check subset, compare symbols, and render the verdict."""
-    pool = list(eligible) if eligible is not None else list(range(len(records)))
+    """The public comparison over the eligible (sifted) records.
+
+    Uniformly samples ceil(check_fraction * len(eligible)) of them, marks
+    them checked, compares symbols, and accepts iff the error rate does not
+    exceed the threshold. Checked pairs are excluded from the raw key.
+    Returns the verdict and the marked records.
+    """
+    pool = list(eligible)
     n_check = math.ceil(check_fraction * len(pool))
     chosen = set(rng.choice(pool, size=n_check, replace=False).tolist()) if n_check else set()
     errors = 0
@@ -227,30 +233,6 @@ def _check_records(
         checked_count=n_check,
     )
     return verdict, updated
-
-
-def eavesdrop_check(
-    transcript: SessionTranscript,
-    check_fraction: float,
-    threshold: float,
-    rng: np.random.Generator,
-) -> tuple[VerdictReport, SessionTranscript]:
-    """Run the public comparison on a transcript that has not been checked yet.
-
-    Uniformly samples ceil(check_fraction * n) of the sifted pairs, compares
-    symbols, and accepts iff the error rate does not exceed the threshold.
-    Checked pairs are excluded from the raw key. Returns the verdict and the
-    transcript with check marks and verdict attached.
-    """
-    if not transcript.records:
-        raise ValueError("transcript holds no pairs")
-    if any(r.checked for r in transcript.records):
-        raise ValueError("transcript was already checked")
-    eligible = [i for i, r in enumerate(transcript.records) if r.sifted]
-    verdict, updated = _check_records(
-        list(transcript.records), check_fraction, threshold, rng, eligible
-    )
-    return verdict, replace(transcript, records=tuple(updated), verdict=verdict)
 
 
 def extract_raw_key(transcript: SessionTranscript) -> tuple[int, ...]:
@@ -322,6 +304,34 @@ def _run_blocks(
     return records, blocks, log
 
 
+def _checked_transcript(
+    cfg: SessionConfig,
+    rng: np.random.Generator,
+    records: list[PairRecord],
+    blocks: list[BlockRecord],
+    log: EveLog | None,
+) -> SessionTranscript:
+    """Run the eavesdropping check over the sifted pairs and seal the transcript.
+
+    Every pair of a keyed session is sifted. A bootstrap session that sifted
+    no block is rejected without a check.
+    """
+    eligible = [i for i, r in enumerate(records) if r.sifted]
+    if eligible:
+        verdict, records = _check_records(
+            records, cfg.check_fraction, cfg.error_threshold, rng, eligible
+        )
+    else:
+        verdict = VerdictReport(False, 1.0, cfg.error_threshold, 0)
+    return SessionTranscript(
+        mode=cfg.mode,
+        records=tuple(records),
+        blocks=tuple(blocks),
+        verdict=verdict,
+        eve_log=log,
+    )
+
+
 def run_keyed_session(cfg: SessionConfig) -> SessionTranscript:
     """One synchronized session: both parties drive ops from the shared key.
 
@@ -332,19 +342,8 @@ def run_keyed_session(cfg: SessionConfig) -> SessionTranscript:
     if cfg.mode != "keyed":
         raise ValueError("config mode is not 'keyed'")
     rng = np.random.default_rng(cfg.seed)
-    stream = key_stream(cfg.control_key, cfg.group, cfg.op_set)
-    ops = [next(stream).index for _ in range(cfg.n_blocks)]
-    records, blocks, log = _run_blocks(cfg, rng, ops, ops)
-    verdict, records = _check_records(
-        records, cfg.check_fraction, cfg.error_threshold, rng
-    )
-    return SessionTranscript(
-        mode="keyed",
-        records=tuple(records),
-        blocks=tuple(blocks),
-        verdict=verdict,
-        eve_log=log,
-    )
+    ops = [op_index_for_block(cfg.control_key, cfg.group, t) for t in range(cfg.n_blocks)]
+    return _checked_transcript(cfg, rng, *_run_blocks(cfg, rng, ops, ops))
 
 
 def run_bootstrap_session(
@@ -363,22 +362,8 @@ def run_bootstrap_session(
     rng = np.random.default_rng(cfg.seed)
     alice_ops = [int(v) for v in rng.integers(0, 4, size=cfg.n_blocks)]
     bob_ops = [int(v) for v in rng.integers(0, 4, size=cfg.n_blocks)]
-    records, blocks, log = _run_blocks(cfg, rng, alice_ops, bob_ops)
-    eligible = [i for i, r in enumerate(records) if r.sifted]
-    if eligible:
-        verdict, records = _check_records(
-            records, cfg.check_fraction, cfg.error_threshold, rng, eligible
-        )
-    else:
-        verdict = VerdictReport(False, 1.0, cfg.error_threshold, 0)
-    transcript = SessionTranscript(
-        mode="bootstrap",
-        records=tuple(records),
-        blocks=tuple(blocks),
-        verdict=verdict,
-        eve_log=log,
-    )
-    if not verdict.accepted:
+    transcript = _checked_transcript(cfg, rng, *_run_blocks(cfg, rng, alice_ops, bob_ops))
+    if not transcript.accepted:
         return None, transcript
     bits = transcript.raw_key()
     wanted = cfg.requested_key_bits

@@ -2,9 +2,10 @@
 
 Everything is plain numpy linear algebra on complex128 arrays: Bell-pair
 construction, reduced density matrices, the two-spin correlation observable
-along arbitrary measurement directions, and projective measurement (Bell
-basis on a chosen qubit pair, computational basis on a single qubit) with
-Born-rule sampling.
+along arbitrary measurement directions, Bell-basis projective measurement
+on a chosen qubit pair with Born-rule sampling, and single-qubit gates.
+Every operation on a subset of qubits goes through one kernel that brings
+those qubits to the front of the amplitude array and back.
 
 Conventions used throughout the package:
 
@@ -29,7 +30,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 MAX_QUBITS = 8
-ATOL_EXACT = 1e-12
 ATOL_NORM = 1e-10
 _PROB_FLOOR = 1e-15
 
@@ -92,9 +92,6 @@ class Direction:
         if norm == 0.0:
             raise ValueError("cannot normalise the zero vector")
         return cls(x / norm, y / norm, z / norm)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=float)
 
 
 X_DIR = Direction(1.0, 0.0, 0.0)
@@ -185,48 +182,19 @@ def density(state: StateVector) -> np.ndarray:
     return np.outer(state.amps, state.amps.conj())
 
 
-def check_density_matrix(rho: np.ndarray, atol: float = ATOL_EXACT) -> None:
-    """Validate hermiticity, unit trace and positivity; raise ValueError if violated."""
-    rho = np.asarray(rho)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError("density matrix must be square")
-    if not np.allclose(rho, rho.conj().T, atol=atol):
-        raise ValueError("density matrix is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > atol or abs(np.trace(rho).imag) > atol:
-        raise ValueError(f"density matrix trace {np.trace(rho)!r} is not 1")
-    eigs = np.linalg.eigvalsh(rho)
-    if eigs.min() < -1e-10:
-        raise ValueError(f"density matrix has negative eigenvalue {eigs.min()!r}")
-
-
-def partial_trace(rho: np.ndarray, keep: str) -> np.ndarray:
-    """Reduced density matrix of one qubit of a 2-qubit density matrix.
-
-    ``keep`` is ``"first"`` or ``"second"``. Rejects non-unit-trace input.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ValueError("partial_trace expects a 4x4 density matrix")
-    tr = np.trace(rho)
-    if abs(tr - 1.0) > 1e-9:
-        raise ValueError(f"density matrix trace {tr!r} is not 1")
-    r = rho.reshape(2, 2, 2, 2)
-    if keep == "first":
-        return np.einsum("abcb->ac", r)
-    if keep == "second":
-        return np.einsum("abad->bd", r)
-    raise ValueError("keep must be 'first' or 'second'")
-
-
 def partial_trace_register(rho: np.ndarray, n_qubits: int, keep: Sequence[int]) -> np.ndarray:
     """Reduced density matrix of the listed qubits of an n-qubit density matrix.
 
-    The kept qubits appear in the output in the order given.
+    The kept qubits appear in the output in the order given. Rejects
+    non-unit-trace input.
     """
     rho = np.asarray(rho, dtype=complex)
     dim = 1 << n_qubits
     if rho.shape != (dim, dim):
         raise ValueError("density matrix shape does not match n_qubits")
+    tr = np.trace(rho)
+    if abs(tr - 1.0) > 1e-9:
+        raise ValueError(f"density matrix trace {tr!r} is not 1")
     letters = "abcdefghijklmnopqrstuvwxyz"
     row = list(letters[:n_qubits])
     col = list(letters[n_qubits : 2 * n_qubits])
@@ -254,8 +222,8 @@ def mismatched_pair_density(ensemble: Iterable[BellState] | None = None) -> np.n
     rho_b = np.zeros((2, 2), dtype=complex)
     for s in symbols:
         rho = density(bell_state(s))
-        rho_a += partial_trace(rho, "first")
-        rho_b += partial_trace(rho, "second")
+        rho_a += partial_trace_register(rho, 2, [0])
+        rho_b += partial_trace_register(rho, 2, [1])
     rho_a /= len(symbols)
     rho_b /= len(symbols)
     return np.kron(rho_a, rho_b)
@@ -308,29 +276,42 @@ def sample_index(probs: Sequence[float], rng: np.random.Generator) -> int:
     return last
 
 
-def _duo_view(register: StateVector, qubit_i: int, qubit_j: int) -> np.ndarray:
-    """Amplitudes reshaped to (4, rest) with the duo as the leading axis."""
+def _to_front(register: StateVector, qubits: tuple[int, ...]) -> np.ndarray:
+    """Amplitudes as a (2**k, rest) array with the k listed qubits leading."""
     n = register.n_qubits
-    if qubit_i == qubit_j:
-        raise ValueError("duo qubits must be distinct")
-    if not (0 <= qubit_i < n and 0 <= qubit_j < n):
+    if len(set(qubits)) != len(qubits):
+        raise ValueError("qubits must be distinct")
+    if not all(0 <= q < n for q in qubits):
         raise ValueError("qubit index out of range")
-    psi = register.amps.reshape([2] * n)
-    moved = np.moveaxis(psi, (qubit_i, qubit_j), (0, 1))
-    return moved.reshape(4, -1)
+    k = len(qubits)
+    moved = np.moveaxis(register.amps.reshape([2] * n), qubits, tuple(range(k)))
+    return moved.reshape(1 << k, -1)
 
 
-def _duo_restore(block: np.ndarray, n: int, qubit_i: int, qubit_j: int) -> np.ndarray:
-    moved = block.reshape([2, 2] + [2] * (n - 2))
-    return np.moveaxis(moved, (0, 1), (qubit_i, qubit_j)).reshape(-1)
+def _from_front(block: np.ndarray, n: int, qubits: tuple[int, ...]) -> StateVector:
+    """Inverse of ``_to_front``: the n-qubit register of a (2**k, rest) array."""
+    moved = block.reshape([2] * n)
+    return StateVector(np.moveaxis(moved, tuple(range(len(qubits))), qubits).reshape(-1))
+
+
+def _bell_coefficients(register: StateVector, qubit_i: int, qubit_j: int) -> np.ndarray:
+    """Row k holds the register's components along Bell state k on the duo (i, j)."""
+    return _BELL_MATRIX.conj() @ _to_front(register, (qubit_i, qubit_j))
+
+
+def _bell_collapse(
+    register: StateVector, qubit_i: int, qubit_j: int, k: int, coeff: np.ndarray, prob: float
+) -> StateVector:
+    """The register after the duo (i, j) was found in Bell state k."""
+    block = np.outer(_BELL_MATRIX[k], coeff / math.sqrt(prob))
+    return _from_front(block, register.n_qubits, (qubit_i, qubit_j))
 
 
 def bell_outcome_probabilities(
     register: StateVector, qubit_i: int, qubit_j: int
 ) -> np.ndarray:
     """Exact Born probabilities of the four Bell outcomes on qubits (i, j)."""
-    coeffs = _BELL_MATRIX.conj() @ _duo_view(register, qubit_i, qubit_j)
-    return (np.abs(coeffs) ** 2).sum(axis=1)
+    return (np.abs(_bell_coefficients(register, qubit_i, qubit_j)) ** 2).sum(axis=1)
 
 
 def bell_project(
@@ -338,14 +319,11 @@ def bell_project(
 ) -> tuple[float, StateVector | None]:
     """Probability of a Bell outcome and the collapsed register, or None if 0."""
     k = outcome.value if isinstance(outcome, BellState) else int(outcome)
-    view = _duo_view(register, qubit_i, qubit_j)
-    coeff = _BELL_MATRIX[k].conj() @ view
-    prob = float(np.vdot(coeff, coeff).real)
+    coeffs = _bell_coefficients(register, qubit_i, qubit_j)
+    prob = float((np.abs(coeffs[k]) ** 2).sum())
     if prob <= _PROB_FLOOR:
         return prob, None
-    block = np.outer(_BELL_MATRIX[k], coeff / math.sqrt(prob))
-    collapsed = StateVector(_duo_restore(block, register.n_qubits, qubit_i, qubit_j))
-    return prob, collapsed
+    return prob, _bell_collapse(register, qubit_i, qubit_j, k, coeffs[k], prob)
 
 
 def bell_measure(
@@ -357,43 +335,15 @@ def bell_measure(
     register. Born probabilities are exact; the branch choice is the only
     random element.
     """
-    view = _duo_view(register, qubit_i, qubit_j)
-    coeffs = _BELL_MATRIX.conj() @ view
+    coeffs = _bell_coefficients(register, qubit_i, qubit_j)
     probs = (np.abs(coeffs) ** 2).sum(axis=1)
     k = sample_index(probs, rng)
-    prob = probs[k]
-    block = np.outer(_BELL_MATRIX[k], coeffs[k] / math.sqrt(prob))
-    amps = _duo_restore(block, register.n_qubits, qubit_i, qubit_j)
-    norm = float(np.linalg.norm(amps))
-    if abs(norm - 1.0) > ATOL_NORM:
-        raise RuntimeError("degenerate post-measurement state")
-    return BellState(k), StateVector(amps)
-
-
-def z_measure(
-    register: StateVector, qubit: int, rng: np.random.Generator
-) -> tuple[int, StateVector]:
-    """Sample a computational-basis measurement of one qubit and collapse."""
-    n = register.n_qubits
-    if not 0 <= qubit < n:
-        raise ValueError("qubit index out of range")
-    moved = np.moveaxis(register.amps.reshape([2] * n), qubit, 0).reshape(2, -1)
-    probs = (np.abs(moved) ** 2).sum(axis=1)
-    k = sample_index(probs, rng)
-    branch = np.zeros_like(moved)
-    branch[k] = moved[k] / math.sqrt(probs[k])
-    amps = np.moveaxis(branch.reshape([2] * n), 0, qubit).reshape(-1)
-    norm = float(np.linalg.norm(amps))
-    if abs(norm - 1.0) > ATOL_NORM:
-        raise RuntimeError("degenerate post-measurement state")
-    return k, StateVector(amps)
+    return BellState(k), _bell_collapse(register, qubit_i, qubit_j, k, coeffs[k], probs[k])
 
 
 def apply_single_qubit(
     register: StateVector, qubit: int, matrix: np.ndarray
 ) -> StateVector:
     """Apply a 2x2 unitary to one qubit of the register."""
-    n = register.n_qubits
-    moved = np.moveaxis(register.amps.reshape([2] * n), qubit, 0).reshape(2, -1)
-    out = np.asarray(matrix, dtype=complex) @ moved
-    return StateVector(np.moveaxis(out.reshape([2] * n), 0, qubit).reshape(-1))
+    out = np.asarray(matrix, dtype=complex) @ _to_front(register, (qubit,))
+    return _from_front(out, register.n_qubits, (qubit,))

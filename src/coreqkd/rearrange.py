@@ -213,14 +213,6 @@ def op_index_for_block(key: ControlKey, group: GroupConfig, block: int) -> int:
     return key.op_indices[(block // group.group_size) % key.n_k]
 
 
-def key_stream(
-    key: ControlKey, group: GroupConfig, op_set: CoreOpSet
-) -> Iterator[CoreOp]:
-    """Infinite per-block stream of rearrangement ops driven by the key."""
-    for t in itertools.count():
-        yield op_set[op_index_for_block(key, group, t)]
-
-
 Triple = tuple[str, str, str]
 
 

@@ -50,14 +50,6 @@ class TestTransmitIdentity:
         _, block = make_block(rng)
         assert depolarize(block.register, block.upper, 0.0, rng) is block.register
 
-    def test_noise_position_is_configurable(self):
-        rng = np.random.default_rng(4)
-        _, block = make_block(rng)
-        delivered, _ = transmit(
-            block, None, 0.3, rng, op_set=CoreOpSet.cyclic(), noise_first=True
-        )
-        assert abs(delivered.register.norm() - 1.0) < 1e-10
-
 
 class TestDepolarizingNoise:
     def test_full_noise_gives_three_quarter_error(self):

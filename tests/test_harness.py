@@ -3,11 +3,15 @@
 import math
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coreqkd.harness import (
+    REPORT_COLUMNS,
     ConfigError,
     ExperimentSpec,
     ReportRow,
@@ -18,7 +22,6 @@ from coreqkd.harness import (
     parse_experiment_string,
     parse_report,
     run_experiment,
-    session_to_config,
     trial_seed,
     write_report,
 )
@@ -94,23 +97,16 @@ class TestConfigParsing:
         assert spec.session.op_set == CoreOpSet.cyclic()
 
     def test_device_section(self):
+        """A device that cannot build every op of the set is rejected at load time."""
         text = GOOD_SPEC + "\n[device]\nloop_delay = 2\nmax_circuits = 3\n"
-        spec = parse_experiment_string(text)
-        assert spec.device.loop_delay == 2
-        assert spec.device.max_circuits == 3
+        with pytest.raises(ConfigError, match=r"\[device\].*UNREALIZABLE"):
+            parse_experiment_string(text)
+        parse_experiment_string(GOOD_SPEC + "\n[device]\nloop_delay = 4\nmax_circuits = 3\n")
 
-    def test_session_serialisation_round_trips(self):
-        cfg = tiny_spec().session
-        flat = session_to_config(cfg)
-        text = "[experiment]\nname = rt\n[session]\n" + "\n".join(
-            f"{k} = {v}" for k, v in flat.items()
-        )
-        parsed = parse_experiment_string(text).session
-        assert parsed.mode == cfg.mode
-        assert parsed.n_blocks == cfg.n_blocks
-        assert parsed.control_key == cfg.control_key
-        assert parsed.check_fraction == cfg.check_fraction
-        assert parsed.noise == cfg.noise
+    def test_rearrangement_the_default_device_cannot_build(self):
+        text = GOOD_SPEC + "\n[rearrangement]\nperms = 0123 1032 2301 3210\n"
+        with pytest.raises(ConfigError, match=r"\[rearrangement\].*UNREALIZABLE"):
+            parse_experiment_string(text)
 
 
 class TestSeeding:
@@ -138,6 +134,24 @@ class TestRunExperiment:
         rows = run_experiment(tiny_spec())
         assert rows[0].mean_error_rate == 0.0
         assert rows[0].key_bits > 0
+
+    def test_known_key_eve_without_a_key_holds_each_trial_key(self):
+        """An [eve] known_key with no key follows the key redrawn per sweep point."""
+        text = (
+            "[experiment]\nseed = 4\n[session]\nn_blocks = 200\n"
+            "[eve]\nkind = known_key\n[sweep]\nkey_lengths = 1 4\n"
+        )
+        rows = run_experiment(parse_experiment_string(text))
+        assert [r.n_k for r in rows] == [1, 4]
+        assert all(r.mean_error_rate == 0.0 for r in rows)
+
+    def test_known_key_eve_with_an_explicit_key_keeps_it(self):
+        text = (
+            "[experiment]\nseed = 4\n[session]\nn_blocks = 200\nerror_threshold = 1.0\n"
+            "[eve]\nkind = known_key\nkey = 01\n[sweep]\nkey_lengths = 4\n"
+        )
+        rows = run_experiment(parse_experiment_string(text))
+        assert rows[0].mean_error_rate > 0.2
 
     def test_key_length_sweep_draws_keys_per_point(self):
         spec = tiny_spec(sweep=SweepAxes(key_lengths=(1, 3)), error_threshold=1.0)
@@ -201,6 +215,38 @@ class TestReports:
         )
         assert parse_report(emit_report([row], "csv"), "csv") == [row]
 
+    def test_csv_round_trip_with_a_comma_in_the_name(self):
+        rows = run_experiment(replace(tiny_spec(), name="a,b"))
+        text = emit_report(rows, "csv")
+        assert parse_report(text, "csv") == rows
+        assert emit_report(parse_report(text, "csv"), "csv") == text
+
+
+cells = st.one_of(st.none(), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def report_rows(draw):
+    stats = {c: draw(cells) for c in REPORT_COLUMNS[6:]}
+    return ReportRow(
+        experiment=draw(st.text()),
+        noise=draw(st.floats(allow_nan=False, allow_infinity=False)),
+        eve=draw(st.text()),
+        n_k=draw(st.integers(0, 2**40)),
+        n_blocks=draw(st.integers(0, 2**40)),
+        trials=draw(st.integers(0, 2**40)),
+        **stats,
+    )
+
+
+class TestReportRoundTrip:
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(report_rows(), max_size=4), fmt=st.sampled_from(["csv", "jsonl"]))
+    def test_parse_inverts_emit(self, rows, fmt):
+        text = emit_report(rows, fmt)
+        assert parse_report(text, fmt) == rows
+        assert emit_report(parse_report(text, fmt), fmt) == text
+
 
 class TestCli:
     def test_run_with_spec_file(self, tmp_path):
@@ -218,6 +264,13 @@ class TestCli:
         bad = tmp_path / "bad.ini"
         bad.write_text("[session]\ncheck_fraction = nope\n")
         assert main(["run", str(bad)]) == 2
+
+    def test_run_rejects_an_unbuildable_device(self, tmp_path):
+        from coreqkd.cli import main
+
+        spec_path = tmp_path / "exp.ini"
+        spec_path.write_text(GOOD_SPEC + "\n[device]\nloop_delay = 2\nmax_circuits = 3\n")
+        assert main(["run", str(spec_path)]) == 2
 
     def test_demo_smoke(self, capsys):
         from coreqkd.cli import main

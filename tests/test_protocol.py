@@ -14,8 +14,8 @@ from coreqkd.protocol import (
     SessionConfig,
     SessionTranscript,
     VerdictReport,
+    _check_records,
     alice_prepare_block,
-    eavesdrop_check,
     extract_raw_key,
     guess_probability,
     run_bootstrap_session,
@@ -153,30 +153,30 @@ class TestKeyedSession:
             run_keyed_session(cfg)
 
 
+def check_all(pairs, check_fraction, threshold, rng):
+    """The eavesdropping check over synthetic records, every pair eligible."""
+    records = list(synthetic_transcript(pairs).records)
+    return _check_records(records, check_fraction, threshold, rng, range(len(records)))
+
+
 class TestEavesdropCheck:
     def test_zero_error_transcript_accepted(self):
         pairs = [(BellState.PSI_MINUS, BellState.PSI_MINUS)] * 8
-        verdict, checked = eavesdrop_check(
-            synthetic_transcript(pairs), 0.5, 0.1, np.random.default_rng(0)
-        )
+        verdict, checked = check_all(pairs, 0.5, 0.1, np.random.default_rng(0))
         assert verdict.accepted and verdict.measured_error_rate == 0.0
         assert verdict.checked_count == 4
-        assert sum(1 for r in checked.records if r.checked) == 4
+        assert sum(1 for r in checked if r.checked) == 4
 
     def test_vacuous_threshold_always_accepts(self):
         pairs = [(BellState.PSI_MINUS, BellState.PHI_PLUS)] * 8  # all wrong
-        verdict, _ = eavesdrop_check(
-            synthetic_transcript(pairs), 0.5, 1.0, np.random.default_rng(0)
-        )
+        verdict, _ = check_all(pairs, 0.5, 1.0, np.random.default_rng(0))
         assert verdict.accepted and verdict.measured_error_rate == 1.0
 
     def test_accepted_iff_rate_below_threshold(self):
         pairs = [(BellState.PSI_MINUS, BellState.PSI_MINUS)] * 6 + [
             (BellState.PSI_MINUS, BellState.PHI_PLUS)
         ] * 2
-        verdict, _ = eavesdrop_check(
-            synthetic_transcript(pairs), 0.999, 0.25, np.random.default_rng(1)
-        )
+        verdict, _ = check_all(pairs, 0.999, 0.25, np.random.default_rng(1))
         assert verdict.accepted == (verdict.measured_error_rate <= 0.25)
 
     def test_wrong_guess_eve_rejected_with_high_probability(self):
@@ -194,12 +194,6 @@ class TestEavesdropCheck:
         transcript = run_keyed_session(cfg)
         assert transcript.verdict.checked_count == 200
         assert not transcript.accepted
-
-    def test_refuses_double_checking(self):
-        cfg = SessionConfig(n_blocks=10, control_key=KEY_ALL_OPS, seed=16)
-        transcript = run_keyed_session(cfg)
-        with pytest.raises(ValueError, match="checked"):
-            eavesdrop_check(transcript, 0.5, 0.1, np.random.default_rng(0))
 
 
 class TestExtractRawKey:

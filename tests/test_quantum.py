@@ -1,7 +1,11 @@
 """Tests for the dense quantum-state engine."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from coreqkd.quantum import (
@@ -9,20 +13,23 @@ from coreqkd.quantum import (
     Direction,
     StateVector,
     Z_DIR,
+    _BELL_MATRIX,
+    _from_front,
+    _to_front,
+    apply_single_qubit,
     bell_measure,
     bell_outcome_probabilities,
+    bell_project,
     bell_state,
     computational_state,
     correlation_operator,
     density,
     expectation,
     mismatched_pair_density,
-    partial_trace,
     partial_trace_register,
     pauli_along,
     random_direction,
     tensor,
-    z_measure,
 )
 
 SQ = 1.0 / np.sqrt(2.0)
@@ -88,11 +95,11 @@ class TestStateVectorValidation:
 
 class TestPartialTrace:
     def test_singlet_reduces_to_maximally_mixed(self):
-        rho = partial_trace(density(bell_state(BellState.PSI_MINUS)), "first")
+        rho = partial_trace_register(density(bell_state(BellState.PSI_MINUS)), 2, [0])
         np.testing.assert_allclose(rho, np.eye(2) / 2, atol=1e-12)
 
     def test_product_state_keep_second(self):
-        rho = partial_trace(density(computational_state([0, 0])), "second")
+        rho = partial_trace_register(density(computational_state([0, 0])), 2, [1])
         np.testing.assert_allclose(rho, np.diag([1.0, 0.0]), atol=1e-12)
 
     def test_bell_diagonal_mixture_against_direct_sum(self):
@@ -113,22 +120,24 @@ class TestPartialTrace:
                             out[a, b] += rho[2 * t + a, 2 * t + b]
             return out
 
-        for keep, first in (("first", True), ("second", False)):
-            reduced = partial_trace(rho, keep)
+        for keep, first in (([0], True), ([1], False)):
+            reduced = partial_trace_register(rho, 2, keep)
             np.testing.assert_allclose(reduced, brute_reduced(first), atol=1e-12)
             np.testing.assert_allclose(reduced, np.eye(2) / 2, atol=1e-12)
 
     def test_rejects_non_unit_trace(self):
         with pytest.raises(ValueError, match="trace"):
-            partial_trace(np.eye(4, dtype=complex), "first")
+            partial_trace_register(np.eye(4, dtype=complex), 2, [0])
 
     def test_register_partial_trace_matches_two_qubit_version(self):
+        """Oracle: the two-qubit contraction written out for each kept qubit."""
         rho = density(bell_state(BellState.PHI_MINUS))
+        r = rho.reshape(2, 2, 2, 2)
         np.testing.assert_allclose(
-            partial_trace_register(rho, 2, [0]), partial_trace(rho, "first"), atol=1e-12
+            partial_trace_register(rho, 2, [0]), np.einsum("abcb->ac", r), atol=1e-12
         )
         np.testing.assert_allclose(
-            partial_trace_register(rho, 2, [1]), partial_trace(rho, "second"), atol=1e-12
+            partial_trace_register(rho, 2, [1]), np.einsum("abad->bd", r), atol=1e-12
         )
 
 
@@ -144,7 +153,7 @@ class TestMismatchedPairDensity:
         """Oracle: reduced halves of any Bell state are I/2, so the product is I/4."""
         rho_full = density(bell_state(BellState.PSI_MINUS))
         expected = np.kron(
-            partial_trace(rho_full, "first"), partial_trace(rho_full, "second")
+            partial_trace_register(rho_full, 2, [0]), partial_trace_register(rho_full, 2, [1])
         )
         got = mismatched_pair_density([BellState.PSI_MINUS])
         np.testing.assert_allclose(got, expected, atol=1e-12)
@@ -288,30 +297,89 @@ class TestBellMeasure:
             bell_measure(bell_state(BellState.PSI_PLUS), 1, 1, np.random.default_rng(0))
 
 
-class TestZMeasure:
-    def test_zero_state_always_zero(self):
-        rng = np.random.default_rng(41)
-        for _ in range(20):
-            bit, _ = z_measure(computational_state([0]), 0, rng)
-            assert bit == 0
+N_KERNEL = 8
+ORDERED_PAIRS = list(itertools.permutations(range(N_KERNEL), 2))
 
-    def test_plus_state_is_balanced(self):
-        plus = StateVector([SQ, SQ])
-        rng = np.random.default_rng(42)
-        n = 100_000
-        ones = sum(z_measure(plus, 0, rng)[0] for _ in range(n))
-        assert ones / n == pytest.approx(0.5, abs=0.01)
 
-    def test_singlet_halves_anticorrelate(self):
-        """Oracle: after measuring one half, the other collapses opposite."""
-        rng = np.random.default_rng(43)
-        first_bits = []
-        for _ in range(300):
-            bit0, post = z_measure(bell_state(BellState.PSI_MINUS), 0, rng)
-            bit1, _ = z_measure(post, 1, rng)
-            assert bit1 == 1 - bit0
-            first_bits.append(bit0)
-        assert 0.4 < np.mean(first_bits) < 0.6
+def random_register(rng, n=N_KERNEL):
+    raw = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    return StateVector(raw / np.linalg.norm(raw))
+
+
+def bit(index, qubit, n=N_KERNEL):
+    """Value of one qubit in a big-endian basis index."""
+    return (index >> (n - 1 - qubit)) & 1
+
+
+def rest_index(index, skip, n=N_KERNEL):
+    """Big-endian index of the qubits not in ``skip``, in ascending order."""
+    out = 0
+    for q in range(n):
+        if q not in skip:
+            out = (out << 1) | bit(index, q)
+    return out
+
+
+class TestAxisKernel:
+    """Every subset operation against an independent index-arithmetic or kron oracle."""
+
+    @settings(max_examples=5, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_front_view_matches_index_arithmetic(self, seed):
+        register = random_register(np.random.default_rng(seed))
+        for i, j in ORDERED_PAIRS:
+            view = _to_front(register, (i, j))
+            for index, amp in enumerate(register.amps):
+                assert view[2 * bit(index, i) + bit(index, j), rest_index(index, (i, j))] == amp
+            assert _from_front(view, N_KERNEL, (i, j)) == register
+
+    @settings(max_examples=5, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_bell_probabilities_match_index_arithmetic(self, seed):
+        register = random_register(np.random.default_rng(seed))
+        for i, j in ORDERED_PAIRS:
+            # coefficient of Bell state k on the duo, per assignment of the other qubits
+            coeffs: dict = {}
+            for index, amp in enumerate(register.amps):
+                duo = 2 * bit(index, i) + bit(index, j)
+                rest = tuple(bit(index, q) for q in range(N_KERNEL) if q not in (i, j))
+                row = coeffs.setdefault(rest, np.zeros(4, dtype=complex))
+                row += _BELL_MATRIX[:, duo].conj() * amp
+            expected = sum(np.abs(row) ** 2 for row in coeffs.values())
+            np.testing.assert_allclose(
+                bell_outcome_probabilities(register, i, j), expected, atol=1e-12
+            )
+
+    @settings(max_examples=5, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_single_qubit_gate_matches_kron_operator(self, seed):
+        rng = np.random.default_rng(seed)
+        register = random_register(rng)
+        for q in range(N_KERNEL):
+            gate, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+            full = np.kron(np.kron(np.eye(1 << q), gate), np.eye(1 << (N_KERNEL - 1 - q)))
+            np.testing.assert_allclose(
+                apply_single_qubit(register, q, gate).amps, full @ register.amps, atol=1e-12
+            )
+
+    @settings(max_examples=5, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_measurement_collapses_like_the_projection(self, seed):
+        rng = np.random.default_rng(seed)
+        register = random_register(rng)
+        indices = np.arange(1 << N_KERNEL)
+        for i, j in ORDERED_PAIRS:
+            outcome, measured = bell_measure(register, i, j, rng)
+            prob, projected = bell_project(register, i, j, outcome)
+            assert measured == projected
+            # |B><B| on the duo (i, j) tensored with the identity on the rest
+            duo = 2 * bit(indices, i) + bit(indices, j)
+            rest = np.array([rest_index(x, (i, j)) for x in indices])
+            bell = _BELL_MATRIX[outcome.value]
+            projector = np.outer(bell[duo], bell[duo].conj()) * (rest[:, None] == rest[None, :])
+            branch = projector @ register.amps
+            assert prob == pytest.approx(np.vdot(branch, branch).real, abs=1e-12)
+            np.testing.assert_allclose(projected.amps, branch / np.sqrt(prob), atol=1e-12)
 
 
 class TestPauliAlong:

@@ -20,7 +20,6 @@ from coreqkd.rearrange import (
     UnrealizableError,
     apply_core,
     invert_core,
-    key_stream,
     op_index_for_block,
     perm_to_schedule,
     schedule_to_perm,
@@ -103,17 +102,21 @@ class TestControlKey:
 
 
 class TestKeyStream:
+    """The per-block op indices a control key selects."""
+
     def test_single_value_repeats(self):
-        stream = key_stream(ControlKey.from_indices([1]), GroupConfig(), CoreOpSet.cyclic())
-        assert [next(stream).index for _ in range(5)] == [1, 1, 1, 1, 1]
+        key = ControlKey.from_indices([1])
+        assert [op_index_for_block(key, GroupConfig(), t) for t in range(5)] == [1] * 5
 
     def test_two_values_alternate(self):
-        stream = key_stream(ControlKey.from_indices([0, 3]), GroupConfig(), CoreOpSet.cyclic())
-        assert [next(stream).index for _ in range(6)] == [0, 3, 0, 3, 0, 3]
+        key = ControlKey.from_indices([0, 3])
+        got = [op_index_for_block(key, GroupConfig(), t) for t in range(6)]
+        assert got == [0, 3, 0, 3, 0, 3]
 
     def test_grouping_holds_one_value_for_four_blocks(self):
-        stream = key_stream(ControlKey.from_indices([1]), GroupConfig(4), CoreOpSet.cyclic())
-        assert [next(stream).index for _ in range(8)] == [1] * 8
+        key = ControlKey.from_indices([1, 2])
+        got = [op_index_for_block(key, GroupConfig(4), t) for t in range(8)]
+        assert got == [1] * 4 + [2] * 4
 
     def test_grouping_boundary_with_two_values(self):
         key = ControlKey.from_indices([2, 0])
