@@ -21,6 +21,8 @@ from typing import Sequence
 import numpy as np
 
 from .quantum import (
+    X_DIR,
+    Z_DIR,
     BellState,
     Direction,
     StateVector,
@@ -38,7 +40,13 @@ from .quantum import (
 )
 from .rearrange import ControlKey, CoreOp, CoreOpSet, GroupConfig, apply_core, invert_core, op_index_for_block
 
-EVE_KINDS = ("none", "guess_core", "known_key", "bell_probe")
+# Each kind with its own parameters; known_key's key group comes from the session.
+EVE_KINDS = {
+    "none": (),
+    "guess_core": ("weights",),
+    "known_key": ("key",),
+    "bell_probe": ("a", "b", "budget"),
+}
 
 
 @dataclass(frozen=True)
@@ -57,9 +65,9 @@ class EveStrategy:
         if self.kind not in EVE_KINDS:
             raise ValueError(f"unknown strategy kind {self.kind!r}")
         if self.kind == "guess_core" and self.weights is not None:
-            if len(self.weights) != 4 or any(w < 0 for w in self.weights):
+            if len(self.weights) != 4 or not all(w >= 0 for w in self.weights):
                 raise ValueError("guess weights must be four nonnegative numbers")
-            if abs(sum(self.weights) - 1.0) > 1e-9:
+            if not abs(sum(self.weights) - 1.0) <= 1e-9:
                 raise ValueError("guess weights must sum to 1")
         if self.kind == "known_key" and self.key is None:
             raise ValueError("known_key strategy needs a control key")
@@ -82,7 +90,7 @@ class EveStrategy:
         return cls(kind="known_key", key=key, group=group)
 
     @classmethod
-    def bell_probe(cls, a: Direction, b: Direction, budget: int = 1) -> "EveStrategy":
+    def bell_probe(cls, a: Direction = X_DIR, b: Direction = Z_DIR, budget: int = 1) -> "EveStrategy":
         return cls(kind="bell_probe", a=a, b=b, budget=budget)
 
 

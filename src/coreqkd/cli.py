@@ -9,10 +9,11 @@ from dataclasses import replace
 from . import acceptance
 from .harness import (
     BUILTIN_EXPERIMENTS,
+    CellError,
     ConfigError,
     emit_report,
+    iter_experiment,
     parse_experiment,
-    run_experiment,
     write_report,
 )
 from .protocol import SessionConfig, run_keyed_session
@@ -25,26 +26,28 @@ def _cmd_run(args: argparse.Namespace) -> int:
             spec = BUILTIN_EXPERIMENTS[args.spec]()
         else:
             spec = parse_experiment(args.spec)
+        overrides = {"seed": args.seed, "fmt": args.format, "out": args.out}
+        spec = replace(spec, **{k: v for k, v in overrides.items() if v is not None})
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.seed is not None:
-        spec = replace(spec, seed=args.seed)
-    if args.format is not None:
-        spec = replace(spec, fmt=args.format)
-    if args.out is not None:
-        spec = replace(spec, out=args.out)
+    rows, code = [], 0
     try:
-        rows = run_experiment(spec)
+        for row in iter_experiment(spec):
+            rows.append(row)
+    except CellError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        code = 1
+    try:
         if spec.out:
             write_report(rows, spec.out, spec.fmt)
             print(f"wrote {len(rows)} rows to {spec.out}")
         else:
             sys.stdout.write(emit_report(rows, spec.fmt))
-    except (RuntimeError, OSError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    return 0
+        code = 1
+    return code
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
@@ -52,7 +55,6 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         n_blocks=args.blocks,
         control_key=ControlKey.from_indices([0, 1, 2, 3]),
         check_fraction=0.25,
-        error_threshold=0.1,
         seed=args.seed,
     )
     print(f"keyed session, {cfg.n_blocks} blocks of {cfg.block_size} pairs, seed {cfg.seed}")

@@ -6,29 +6,28 @@ section headers (INI syntax, parsed with the standard library)::
     [experiment]
     name = noise-sweep
     trials = 4                  ; sessions per sweep point
-    seed = 91                   ; master 64-bit seed
+    seed = 91                   ; master seed, >= 0
     format = csv                ; csv | jsonl
     out = report.csv            ; optional output path
 
     [session]
     mode = keyed                ; keyed | bootstrap
     n_blocks = 500
-    block_size = 4
     control_key = 00011011      ; bit string, 2 bits per op index
     group_size = 1
     check_fraction = 0.5
     error_threshold = 0.1
     noise = 0.0
-    requested_key_bits =        ; bootstrap only, optional
+    requested_key_bits =        ; bootstrap sessions only; empty = all sifted bits
 
-    [eve]                       ; optional, default none
-    kind = guess_core           ; none | guess_core | known_key | bell_probe
-    weights = 0.25 0.25 0.25 0.25
-    key = 0001                  ; known_key: Eve's bit string; empty = the session
-                                ; key, still hers when key_lengths redraws it
-    a = 1 0 0                   ; bell_probe directions (normalised on parse)
+    [eve]                       ; optional; every other key belongs to one kind
+    kind = bell_probe           ; none | guess_core | known_key | bell_probe
+    a = 1 0 0                   ; bell_probe: directions (normalised on parse)
     b = 0 0 1
     budget = 1
+    ; guess_core: weights = 0.25 0.25 0.25 0.25
+    ; known_key:  key = 0001    Eve's bit string; empty = the session key,
+    ;                           still hers when key_lengths redraws it
 
     [sweep]                     ; optional; every key is an axis, grid = product
     noise = 0.0 0.05 0.1
@@ -43,10 +42,11 @@ section headers (INI syntax, parsed with the standard library)::
     loop_delay = 4
     max_circuits = 2
 
-When ``[device]`` or ``[rearrangement]`` is present, every permutation of
-the op set must be realisable on the device (the default geometry if no
-``[device]`` is given): loading fails with a ``ConfigError`` naming the
-section otherwise.
+Every key is declared once, in ``_KEYS``; an empty value means its default.
+An unknown section or key, an ``[eve]`` key of another kind, a value that
+does not convert and a sweep cell ``trial_config`` cannot build each fail to
+load with a ``ConfigError`` naming them. With ``[device]`` or ``[rearrangement]``,
+every op must be realisable on the device (default geometry if no ``[device]``).
 
 Reports are CSV (header plus one line per sweep point; fields holding a
 comma, quote or line break are quoted) or JSON lines. Both parse back with
@@ -62,14 +62,15 @@ from __future__ import annotations
 import configparser
 import csv
 import io
+import itertools
 import json
 import math
 from dataclasses import dataclass, fields, replace
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .adversary import EveStrategy
+from .adversary import EVE_KINDS, EveStrategy
 from .protocol import (
     SessionConfig,
     SessionTranscript,
@@ -116,8 +117,13 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.fmt not in ("csv", "jsonl"):
             raise ConfigError("format must be csv or jsonl")
+        # A longer field emits, but the csv module cannot read it back.
+        if len(self.name) > csv.field_size_limit():
+            raise ConfigError(f"name must be at most {csv.field_size_limit()} characters")
 
 
 @dataclass(frozen=True)
@@ -170,18 +176,28 @@ def trial_seed(master_seed: int, point_index: int, trial_index: int) -> int:
 # Experiment execution
 # ---------------------------------------------------------------------------
 
-def _eve_for_kind(kind: str, template: EveStrategy | None, session: SessionConfig) -> EveStrategy | None:
+class CellError(RuntimeError):
+    """A session of one sweep cell failed; the message names the cell and trial."""
+
+
+def _eve(kind: str, params: dict, control_key: ControlKey, group: GroupConfig) -> EveStrategy | None:
+    """Eve of ``kind`` from her ``[eve]`` keys; a known_key Eve given no key holds ``control_key``."""
+    if kind not in EVE_KINDS:
+        raise ValueError(f"kind {kind!r} is not one of {' '.join(EVE_KINDS)}")
+    for key in params:
+        if key not in EVE_KINDS[kind]:
+            raise ValueError(f"{key}: not a key of kind = {kind}")
     if kind == "none":
         return None
-    if template is not None and template.kind == kind:
-        return template
     if kind == "guess_core":
-        return EveStrategy.guess_core()
+        return EveStrategy.guess_core(**params)
     if kind == "known_key":
-        return EveStrategy.known_key(session.control_key, session.group)
-    if kind == "bell_probe":
-        return EveStrategy.bell_probe(Direction(1, 0, 0), Direction(0, 0, 1))
-    raise ConfigError(f"unknown eve kind {kind!r}")
+        return EveStrategy.known_key(params.get("key", control_key), group)
+    return EveStrategy.bell_probe(**params)
+
+
+def _cell_name(point_index: int, point: dict) -> str:
+    return f"[sweep] cell {point_index} ({', '.join(f'{k}={v}' for k, v in point.items())})"
 
 
 def _grid(spec: ExperimentSpec) -> list[dict]:
@@ -190,15 +206,10 @@ def _grid(spec: ExperimentSpec) -> list[dict]:
     eves = spec.sweep.eve or (base_eve,)
     lengths = spec.sweep.key_lengths or (spec.session.control_key.n_k,)
     blocks = spec.sweep.n_blocks or (spec.session.n_blocks,)
-    points = []
-    for noise in noises:
-        for eve in eves:
-            for n_k in lengths:
-                for n_blocks in blocks:
-                    points.append(
-                        {"noise": noise, "eve": eve, "n_k": n_k, "n_blocks": n_blocks}
-                    )
-    return points
+    return [
+        {"noise": noise, "eve": eve, "n_k": n_k, "n_blocks": n_blocks}
+        for noise, eve, n_k, n_blocks in itertools.product(noises, eves, lengths, blocks)
+    ]
 
 
 def _trial_stats(transcript: SessionTranscript) -> dict:
@@ -226,56 +237,67 @@ def _mean_se(values: list[float | None]) -> tuple[float | None, float | None]:
     return mean, float(np.std(got, ddof=1) / math.sqrt(len(got)))
 
 
-def run_trial(spec: ExperimentSpec, point: dict, point_index: int, trial_index: int) -> SessionTranscript:
-    """Run one session of one sweep cell with its derived seed."""
-    seed = trial_seed(spec.seed, point_index, trial_index)
+def trial_config(spec: ExperimentSpec, point: dict, point_index: int, trial_index: int) -> SessionConfig:
+    """The session of one trial of one sweep cell; ``run_trial`` sets its seed.
+
+    Deriving the seed here would import ``numpy.random`` while a spec loads.
+    """
     session = spec.session
     control_key = session.control_key
     if point["n_k"] != control_key.n_k:
         key_rng = np.random.default_rng(trial_seed(spec.seed, point_index, 2**20 + trial_index))
         control_key = ControlKey.random(point["n_k"], key_rng)
-    template = session.eve
-    if template is not None and template.kind == "known_key" and template.key == session.control_key:
-        # Eve holds the session's key, so she holds the key drawn for this trial.
-        template = replace(template, key=control_key)
-    cfg = replace(
+    eve = session.eve
+    # A known_key Eve holding the session's key holds the key drawn for this trial.
+    if eve is None or eve.kind != point["eve"] or eve.key == session.control_key:
+        eve = _eve(point["eve"], {}, control_key, session.group)
+    return replace(
         session,
-        seed=seed,
         noise=point["noise"],
         n_blocks=point["n_blocks"],
         control_key=control_key,
-        eve=_eve_for_kind(point["eve"], template, replace(session, control_key=control_key)),
+        eve=eve,
     )
+
+
+def run_trial(spec: ExperimentSpec, point: dict, point_index: int, trial_index: int) -> SessionTranscript:
+    """Run one session of one sweep cell with its derived seed."""
+    cfg = trial_config(spec, point, point_index, trial_index)
+    cfg = replace(cfg, seed=trial_seed(spec.seed, point_index, trial_index))
     if cfg.mode == "bootstrap":
         _, transcript = run_bootstrap_session(cfg)
         return transcript
     return run_keyed_session(cfg)
 
 
-def run_experiment(spec: ExperimentSpec) -> list[ReportRow]:
-    """Execute the full sweep grid; deterministic given (spec, seed)."""
-    rows = []
+def iter_experiment(spec: ExperimentSpec) -> Iterator[ReportRow]:
+    """Each sweep cell's row in grid order; a failing session raises ``CellError``."""
     for point_index, point in enumerate(_grid(spec)):
         per_trial: dict[str, list] = {mean: [] for mean, _ in _STAT_COLUMNS}
         for trial_index in range(spec.trials):
-            transcript = run_trial(spec, point, point_index, trial_index)
+            try:
+                transcript = run_trial(spec, point, point_index, trial_index)
+            except RuntimeError as exc:
+                raise CellError(f"{_cell_name(point_index, point)}, trial {trial_index}: {exc}") from exc
             for k, v in _trial_stats(transcript).items():
                 per_trial[k].append(v)
         stats = {}
         for mean, se in _STAT_COLUMNS:
             stats[mean], stats[se] = _mean_se(per_trial[mean])
-        rows.append(
-            ReportRow(
-                experiment=spec.name,
-                noise=float(point["noise"]),
-                eve=point["eve"],
-                n_k=int(point["n_k"]),
-                n_blocks=int(point["n_blocks"]),
-                trials=spec.trials,
-                **stats,
-            )
+        yield ReportRow(
+            experiment=spec.name,
+            noise=float(point["noise"]),
+            eve=point["eve"],
+            n_k=int(point["n_k"]),
+            n_blocks=int(point["n_blocks"]),
+            trials=spec.trials,
+            **stats,
         )
-    return rows
+
+
+def run_experiment(spec: ExperimentSpec) -> list[ReportRow]:
+    """Execute the full sweep grid; deterministic given (spec, seed)."""
+    return list(iter_experiment(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -380,143 +402,110 @@ def _direction(raw: str) -> Direction:
     return Direction.normalized(x, y, z)
 
 
-def _parse_eve(section, key_fallback: ControlKey, group: GroupConfig) -> EveStrategy | None:
-    kind = section.get("kind", "none").strip()
-    if kind == "none":
-        return None
-    if kind == "guess_core":
-        weights = section.get("weights", "").strip()
-        return EveStrategy.guess_core(_floats(weights) if weights else None)
-    if kind == "known_key":
-        raw = section.get("key", "").strip()
-        key = ControlKey.from_bits(raw) if raw else key_fallback
-        return EveStrategy.known_key(key, group)
-    if kind == "bell_probe":
-        return EveStrategy.bell_probe(
-            _direction(section.get("a", "1 0 0")),
-            _direction(section.get("b", "0 0 1")),
-            int(section.get("budget", "1")),
-        )
-    raise ConfigError(f"[eve] kind = {kind!r} is not a known strategy")
+# Every key of the grammar: (section, key) -> (keyword it fills, converter).
+_KEYS = {
+    ("experiment", "name"): ("name", str),
+    ("experiment", "trials"): ("trials", int),
+    ("experiment", "seed"): ("seed", int),
+    ("experiment", "format"): ("fmt", str),
+    ("experiment", "out"): ("out", str),
+    ("session", "mode"): ("mode", str),
+    ("session", "n_blocks"): ("n_blocks", int),
+    ("session", "control_key"): ("control_key", ControlKey.from_bits),
+    ("session", "group_size"): ("group", lambda raw: GroupConfig(int(raw))),
+    ("session", "check_fraction"): ("check_fraction", float),
+    ("session", "error_threshold"): ("error_threshold", float),
+    ("session", "noise"): ("noise", float),
+    ("session", "requested_key_bits"): ("requested_key_bits", int),
+    ("eve", "kind"): ("kind", str),
+    ("eve", "weights"): ("weights", _floats),
+    ("eve", "key"): ("key", ControlKey.from_bits),
+    ("eve", "a"): ("a", _direction),
+    ("eve", "b"): ("b", _direction),
+    ("eve", "budget"): ("budget", int),
+    ("sweep", "noise"): ("noise", _floats),
+    ("sweep", "eve"): ("eve", lambda raw: tuple(raw.split())),
+    ("sweep", "key_lengths"): ("key_lengths", _ints),
+    ("sweep", "n_blocks"): ("n_blocks", _ints),
+    ("rearrangement", "perms"): ("op_set", lambda raw: CoreOpSet([list(map(int, t)) for t in raw.split()])),
+    ("device", "loop_delay"): ("loop_delay", int),
+    ("device", "max_circuits"): ("max_circuits", int),
+}
 
 
 def parse_experiment(path: str) -> ExperimentSpec:
     """Load an experiment specification file (grammar in the module docstring)."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            parser.read_file(handle, source=path)
+            text = handle.read()
     except OSError as exc:
         raise ConfigError(f"cannot read {path!r}: {exc}") from exc
-    except configparser.Error as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    return _spec_from_parser(parser, source=path)
+    return parse_experiment_string(text, name_hint=path)
 
 
 def parse_experiment_string(text: str, name_hint: str = "<string>") -> ExperimentSpec:
+    """Load an experiment specification from text; errors start with ``name_hint``."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
         parser.read_string(text, source=name_hint)
     except configparser.Error as exc:
         raise ConfigError(f"{name_hint}: {exc}") from exc
-    return _spec_from_parser(parser, source=name_hint)
-
-
-def _spec_from_parser(parser: configparser.ConfigParser, source: str) -> ExperimentSpec:
-    def fail(section: str, key: str, exc: Exception) -> ConfigError:
-        return ConfigError(f"{source}: [{section}] {key}: {exc}")
-
-    if not parser.has_section("session"):
-        raise ConfigError(f"{source}: missing [session] section")
-    ses = parser["session"]
-    exp = parser["experiment"] if parser.has_section("experiment") else {}
-
+    # Each section's converted values by keyword; an empty value is left out.
+    # Keys of the default section would apply to every section, so they are unknown.
+    got: dict[str, dict] = {}
+    for section in (parser.default_section, *parser.sections()):
+        got[section] = {}
+        for key, raw in parser[section].items():
+            if (section, key) not in _KEYS:
+                raise ConfigError(f"{name_hint}: [{section}] {key}: unknown key")
+            if raw:
+                keyword, convert = _KEYS[section, key]
+                try:
+                    got[section][keyword] = convert(raw)
+                except ValueError as exc:
+                    raise ConfigError(f"{name_hint}: [{section}] {key}: {exc}") from exc
+    if "session" not in got:
+        raise ConfigError(f"{name_hint}: missing [session] section")
     try:
-        group = GroupConfig(int(ses.get("group_size", "1")))
+        # [rearrangement] perms fills op_set.
+        session = SessionConfig(**{
+            "n_blocks": 100,
+            "control_key": ControlKey.from_bits("0001"),
+            **got["session"],
+            **got.get("rearrangement", {}),
+        })
     except ValueError as exc:
-        raise fail("session", "group_size", exc)
+        raise ConfigError(f"{name_hint}: [session] {exc}") from exc
+    params = dict(got.get("eve", {}))
     try:
-        control_key = ControlKey.from_bits(ses.get("control_key", "0001"))
+        eve = _eve(params.pop("kind", "none"), params, session.control_key, session.group)
     except ValueError as exc:
-        raise fail("session", "control_key", exc)
+        raise ConfigError(f"{name_hint}: [eve] {exc}") from exc
+    session = replace(session, eve=eve)
 
-    op_set = CoreOpSet.cyclic(int(ses.get("block_size", "4")))
-    if parser.has_section("rearrangement"):
-        raw = parser["rearrangement"].get("perms", "").strip()
-        if raw:
-            try:
-                op_set = CoreOpSet([[int(c) for c in tok] for tok in raw.split()])
-            except ValueError as exc:
-                raise fail("rearrangement", "perms", exc)
-
-    eve = None
-    if parser.has_section("eve"):
+    if "device" in got or "rearrangement" in got:
+        section = "device" if "device" in got else "rearrangement"
         try:
-            eve = _parse_eve(parser["eve"], control_key, group)
-        except ValueError as exc:
-            raise fail("eve", "kind", exc)
-
-    requested = ses.get("requested_key_bits", "").strip()
-    try:
-        session = SessionConfig(
-            n_blocks=int(ses.get("n_blocks", "100")),
-            control_key=control_key,
-            block_size=int(ses.get("block_size", "4")),
-            group=group,
-            check_fraction=float(ses.get("check_fraction", "0.5")),
-            error_threshold=float(ses.get("error_threshold", "0.1")),
-            mode=ses.get("mode", "keyed").strip(),
-            eve=eve,
-            noise=float(ses.get("noise", "0.0")),
-            op_set=op_set,
-            requested_key_bits=int(requested) if requested else None,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{source}: [session]: {exc}")
-
-    sweep = SweepAxes()
-    if parser.has_section("sweep"):
-        sw = parser["sweep"]
-        try:
-            sweep = SweepAxes(
-                noise=_floats(sw["noise"]) if "noise" in sw else None,
-                eve=tuple(sw["eve"].split()) if "eve" in sw else None,
-                key_lengths=_ints(sw["key_lengths"]) if "key_lengths" in sw else None,
-                n_blocks=_ints(sw["n_blocks"]) if "n_blocks" in sw else None,
-            )
-        except ValueError as exc:
-            raise ConfigError(f"{source}: [sweep]: {exc}")
-
-    device = DeviceModel()
-    if parser.has_section("device"):
-        dev = parser["device"]
-        try:
-            device = DeviceModel(
-                loop_delay=int(dev.get("loop_delay", str(DeviceModel().loop_delay))),
-                max_circuits=int(dev.get("max_circuits", str(DeviceModel().max_circuits))),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"{source}: [device]: {exc}")
-    if parser.has_section("device") or parser.has_section("rearrangement"):
-        section = "device" if parser.has_section("device") else "rearrangement"
-        for op in op_set:
-            try:
+            device = DeviceModel(**got.get("device", {}))
+            for op in session.op_set:
                 perm_to_schedule(op.perm, device)
-            except UnrealizableError as exc:
-                raise ConfigError(f"{source}: [{section}]: op {op.index}: {exc}")
+        except (ValueError, UnrealizableError) as exc:
+            raise ConfigError(f"{name_hint}: [{section}] {exc}") from exc
 
     try:
-        return ExperimentSpec(
-            name=exp.get("name", "experiment"),
+        spec = ExperimentSpec(
+            **{"name": "experiment", **got.get("experiment", {})},
             session=session,
-            trials=int(exp.get("trials", "1")),
-            seed=int(exp.get("seed", "0")),
-            sweep=sweep,
-            out=(exp.get("out", "").strip() or None),
-            fmt=exp.get("format", "csv").strip(),
+            sweep=SweepAxes(**got.get("sweep", {})),
         )
     except ValueError as exc:
-        raise ConfigError(f"{source}: [experiment]: {exc}")
+        raise ConfigError(f"{name_hint}: [experiment] {exc}") from exc
+    for point_index, point in enumerate(_grid(spec)):
+        try:
+            trial_config(spec, point, point_index, 0)
+        except ValueError as exc:
+            raise ConfigError(f"{name_hint}: {_cell_name(point_index, point)}: {exc}") from exc
+    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -531,13 +520,7 @@ def paper_table(seed: int = 20130704) -> ExperimentSpec:
     that guesses the rearrangement, and a vanishing mean for the correlation
     probe.
     """
-    session = SessionConfig(
-        n_blocks=2500,
-        control_key=ControlKey.from_indices([0, 1, 2, 3]),
-        check_fraction=0.5,
-        error_threshold=0.1,
-        mode="keyed",
-    )
+    session = SessionConfig(n_blocks=2500, control_key=ControlKey.from_indices([0, 1, 2, 3]))
     return ExperimentSpec(
         name="paper-table",
         session=session,

@@ -48,7 +48,6 @@ class SessionConfig:
 
     n_blocks: int
     control_key: ControlKey
-    block_size: int = 4
     group: GroupConfig = GroupConfig()
     check_fraction: float = 0.5
     error_threshold: float = 0.1
@@ -59,13 +58,15 @@ class SessionConfig:
     op_set: CoreOpSet = field(default_factory=CoreOpSet.cyclic)
     requested_key_bits: int | None = None
 
+    @property
+    def block_size(self) -> int:
+        return self.op_set.block_size
+
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
         if self.n_blocks < 1:
             raise ValueError("n_blocks must be >= 1")
-        if self.op_set.block_size != self.block_size:
-            raise ValueError("op set block size does not match the session block size")
         if 2 * self.block_size > 8:
             raise ValueError("block registers are capped at 8 qubits")
         if not 0.0 < self.check_fraction < 1.0:
@@ -76,6 +77,10 @@ class SessionConfig:
             raise ValueError("noise must lie in [0, 1)")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be a 64-bit unsigned integer")
+        if self.requested_key_bits is not None and self.mode != "bootstrap":
+            raise ValueError("requested_key_bits is for bootstrap sessions only")
+        if self.requested_key_bits is not None and self.requested_key_bits < 2:
+            raise ValueError("requested_key_bits must be >= 2")
         n_pairs = self.n_blocks * self.block_size
         if math.ceil(self.check_fraction * n_pairs) > n_pairs - 1:
             raise ValueError("check fraction leaves no unchecked pair")

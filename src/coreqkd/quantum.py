@@ -83,7 +83,7 @@ class Direction:
 
     def __post_init__(self) -> None:
         norm = math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
-        if abs(norm - 1.0) > 1e-9:
+        if not abs(norm - 1.0) <= 1e-9:
             raise ValueError(f"direction must be a unit vector, |v| = {norm!r}")
 
     @classmethod

@@ -122,11 +122,9 @@ class CoreOpSet:
         self.block_size = size
 
     @classmethod
-    def cyclic(cls, block_size: int = DEFAULT_BLOCK_SIZE) -> "CoreOpSet":
-        """Default set: cyclic shifts by 0, 1, 2, 3."""
-        if block_size < 4:
-            raise ValueError("cyclic set needs block size >= 4 for distinct shifts")
-        return cls([_cyclic_perm(s, block_size) for s in range(4)])
+    def cyclic(cls) -> "CoreOpSet":
+        """Default set: cyclic shifts by 0, 1, 2, 3 of a block of four."""
+        return cls([_cyclic_perm(s, DEFAULT_BLOCK_SIZE) for s in range(4)])
 
     def __getitem__(self, index: int) -> CoreOp:
         return self.ops[index]

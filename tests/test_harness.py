@@ -1,9 +1,12 @@
 """Tests for the experiment harness, configuration grammar and reports."""
 
+import csv
 import math
+import re
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from coreqkd.harness import (
     ReportRow,
     SweepAxes,
     emit_report,
+    iter_experiment,
     paper_table,
     parse_experiment,
     parse_experiment_string,
@@ -27,6 +31,8 @@ from coreqkd.harness import (
 )
 from coreqkd.protocol import SessionConfig
 from coreqkd.rearrange import ControlKey, CoreOpSet
+
+ROOT = Path(__file__).resolve().parents[1]
 
 GOOD_SPEC = """
 [experiment]
@@ -42,6 +48,45 @@ check_fraction = 0.5
 error_threshold = 0.1
 noise = 0.0
 """
+
+
+SESSION = "[session]\nn_blocks = 20\n"
+
+# Inputs that must fail at load time, each with the section and key (or the
+# sweep cell) its message has to name.
+BAD_SPECS = {
+    **{
+        f"block_size_{n}": (SESSION + f"block_size = {n}\n", r"\[session\] block_size: unknown key")
+        for n in (2, 3, 4, 5)
+    },
+    "misspelt_key": (SESSION + "n_blcks = 20\n", r"\[session\] n_blcks: unknown key"),
+    "misspelt_section": (SESSION + "[sweeep]\nnoise = 0.1\n", r"\[sweeep\] noise: unknown key"),
+    "default_section": ("[DEFAULT]\nnoise = 0.1\n" + SESSION, r"\[DEFAULT\] noise: unknown key"),
+    "sweep_eve": (SESSION + "[sweep]\neve = none foo\n", r"\[sweep\] cell 1 \(.*eve=foo"),
+    "sweep_noise": (SESSION + "[sweep]\nnoise = 0.0 1.5\n", r"\[sweep\] cell 1 \(noise=1.5"),
+    "sweep_n_blocks": (SESSION + "[sweep]\nn_blocks = 0\n", r"\[sweep\] cell 0 \(.*n_blocks=0\)"),
+    "sweep_key_lengths": (SESSION + "[sweep]\nkey_lengths = 0\n", r"\[sweep\] cell 0 \(.*n_k=0"),
+    "negative_seed": ("[experiment]\nseed = -1\n" + SESSION, r"\[experiment\] seed"),
+    "eve_budget": (SESSION + "[eve]\nkind = bell_probe\nbudget = x\n", r"\[eve\] budget"),
+    "eve_nan_weights": (
+        SESSION + "[eve]\nkind = guess_core\nweights = nan nan nan nan\n", r"\[eve\] guess weights"
+    ),
+    "eve_nan_direction": (SESSION + "[eve]\nkind = bell_probe\na = nan 0 0\n", r"\[eve\] a: direction"),
+    "keyed_requested_key_bits": (
+        SESSION + "requested_key_bits = 10\n", r"\[session\] requested_key_bits"
+    ),
+    "negative_requested_key_bits": (
+        SESSION + "mode = bootstrap\nrequested_key_bits = -3\n", r"\[session\] requested_key_bits"
+    ),
+    **{
+        f"guess_core_{key}": (
+            SESSION + f"[eve]\nkind = guess_core\n{key} = {value}\n[sweep]\neve = bell_probe\n",
+            rf"\[eve\] {key}: not a key of kind = guess_core",
+        )
+        for key, value in (("a", "1 0 0"), ("b", "0 0 1"), ("budget", "2"))
+    },
+    "long_name": ("[experiment]\nname = " + "x" * 140_000 + "\n" + SESSION, r"\[experiment\] name"),
+}
 
 
 def tiny_spec(**overrides) -> ExperimentSpec:
@@ -102,6 +147,33 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=r"\[device\].*UNREALIZABLE"):
             parse_experiment_string(text)
         parse_experiment_string(GOOD_SPEC + "\n[device]\nloop_delay = 4\nmax_circuits = 3\n")
+
+    @pytest.mark.parametrize("name", BAD_SPECS)
+    def test_bad_input_fails_naming_its_key(self, name):
+        text, names_key = BAD_SPECS[name]
+        with pytest.raises(ConfigError, match=names_key):
+            parse_experiment_string(text)
+
+    def test_an_empty_value_means_the_default(self):
+        text = (
+            "[experiment]\nname =\nformat =\n[session]\nmode =\ncontrol_key =\n"
+            "n_blocks =\ncheck_fraction =\n[eve]\nkind =\n"
+        )
+        assert parse_experiment_string(text) == parse_experiment_string("[session]\n")
+
+    def test_the_longest_csv_readable_name_round_trips(self):
+        spec = replace(tiny_spec(), name="x" * csv.field_size_limit())
+        row = ReportRow(spec.name, 0.0, "none", 1, 1, 1, *[None] * (len(REPORT_COLUMNS) - 6))
+        assert parse_report(emit_report([row], "csv"), "csv") == [row]
+
+    def test_documented_experiments_parse(self):
+        """The demo files and the README's example follow the grammar."""
+        paths = sorted((ROOT / "demos" / "experiments").glob("*.ini"))
+        assert len(paths) == 2
+        for path in paths:
+            parse_experiment(str(path))
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        parse_experiment_string(re.search(r"```ini\n(.*?)```", readme, re.S).group(1))
 
     def test_rearrangement_the_default_device_cannot_build(self):
         text = GOOD_SPEC + "\n[rearrangement]\nperms = 0123 1032 2301 3210\n"
@@ -271,6 +343,43 @@ class TestCli:
         spec_path = tmp_path / "exp.ini"
         spec_path.write_text(GOOD_SPEC + "\n[device]\nloop_delay = 2\nmax_circuits = 3\n")
         assert main(["run", str(spec_path)]) == 2
+
+    @pytest.mark.parametrize("text, args, names_key", [
+        ("[experiment]\nseed = -1\n" + SESSION, [], r"\[experiment\] seed"),
+        (SESSION + "[sweep]\neve = foo\n", [], r"\[sweep\] cell 0"),
+        (SESSION, ["--seed", "-1"], r"seed"),
+    ], ids=["negative_seed", "sweep_eve", "seed_flag"])
+    def test_bad_input_exits_2_without_a_traceback(self, tmp_path, text, args, names_key):
+        spec_path = tmp_path / "exp.ini"
+        spec_path.write_text(text)
+        proc = subprocess.run(
+            [sys.executable, "-m", "coreqkd", "run", str(spec_path), *args],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
+        assert re.search(names_key, proc.stderr)
+        assert proc.stdout == ""
+
+    def test_a_failing_cell_keeps_the_rows_before_it(self, tmp_path, capsys):
+        """A cell short of sifted bits still leaves the finished rows; run exits 1."""
+        from coreqkd.cli import main
+
+        text = (
+            "[experiment]\nseed = 1\ntrials = 3\n"
+            "[session]\nmode = bootstrap\nrequested_key_bits = 200\n"
+            "[sweep]\nn_blocks = 2000 40\n"
+        )
+        spec_path = tmp_path / "exp.ini"
+        spec_path.write_text(text)
+        assert main(["run", str(spec_path)]) == 1
+        captured = capsys.readouterr()
+        first_row = next(iter_experiment(parse_experiment_string(text)))
+        assert first_row.n_blocks == 2000
+        assert captured.out == emit_report([first_row], "csv")
+        assert re.search(r"cell 1 \(.*n_blocks=40\), trial 0: INSUFFICIENT_SIFT", captured.err)
 
     def test_demo_smoke(self, capsys):
         from coreqkd.cli import main

@@ -49,23 +49,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="unchecked"):
             SessionConfig(n_blocks=1, control_key=KEY_ALL_OPS, check_fraction=0.99)
 
-    def test_op_set_block_size_must_match(self):
-        with pytest.raises(ValueError, match="block size"):
-            SessionConfig(
-                n_blocks=1,
-                control_key=KEY_ALL_OPS,
-                block_size=4,
-                op_set=CoreOpSet.cyclic(5),
-            )
-
     def test_register_cap(self):
+        five = CoreOpSet([[(p + s) % 5 for p in range(5)] for s in range(4)])
         with pytest.raises(ValueError, match="8 qubits"):
-            SessionConfig(
-                n_blocks=1,
-                control_key=KEY_ALL_OPS,
-                block_size=5,
-                op_set=CoreOpSet.cyclic(5),
-            )
+            SessionConfig(n_blocks=1, control_key=KEY_ALL_OPS, op_set=five)
 
     def test_noise_range(self):
         with pytest.raises(ValueError, match="noise"):
