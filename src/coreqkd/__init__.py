@@ -1,6 +1,7 @@
 """Exact simulator of order-rearrangement encrypted quantum key distribution.
 
-The package splits into a dense quantum-state engine (:mod:`~coreqkd.quantum`),
+The package splits into a quantum-state engine with dense and Bell-label
+registers (:mod:`~coreqkd.quantum`),
 the classical rearrangement layer with its delay-loop device model
 (:mod:`~coreqkd.rearrange`), the transport channel (:mod:`~coreqkd.channel`),
 pluggable adversary strategies (:mod:`~coreqkd.adversary`), the session state
@@ -48,6 +49,7 @@ from .protocol import (
 from .quantum import (
     BellState,
     Direction,
+    LabelRegister,
     StateVector,
     bell_measure,
     bell_outcome_probabilities,

@@ -25,6 +25,7 @@ from .quantum import (
     Z_DIR,
     BellState,
     Direction,
+    LabelRegister,
     StateVector,
     _from_front,
     _to_front,
@@ -66,16 +67,16 @@ class EveStrategy:
             raise ValueError(f"unknown strategy kind {self.kind!r}")
         if self.kind == "guess_core" and self.weights is not None:
             if len(self.weights) != 4 or not all(w >= 0 for w in self.weights):
-                raise ValueError("guess weights must be four nonnegative numbers")
+                raise ValueError("weights must be four nonnegative numbers")
             if not abs(sum(self.weights) - 1.0) <= 1e-9:
-                raise ValueError("guess weights must sum to 1")
+                raise ValueError("weights must sum to 1")
         if self.kind == "known_key" and self.key is None:
             raise ValueError("known_key strategy needs a control key")
         if self.kind == "bell_probe":
             if self.a is None or self.b is None:
                 raise ValueError("bell_probe strategy needs two directions")
             if self.budget < 1:
-                raise ValueError("probe budget must be >= 1")
+                raise ValueError("budget must be >= 1")
 
     @classmethod
     def none(cls) -> "EveStrategy":
@@ -123,12 +124,12 @@ class EveLog:
 
 
 def eve_guess_core_attack(
-    register: StateVector,
+    register: StateVector | LabelRegister,
     upper: Sequence[int],
     lower: Sequence[int],
     guess: CoreOp,
     rng: np.random.Generator,
-) -> tuple[StateVector, tuple[BellState, ...]]:
+) -> tuple[StateVector | LabelRegister, tuple[BellState, ...]]:
     """Measure-and-reprepare interception of one block under a guessed op.
 
     Eve undoes the rearrangement she guesses, Bell-measures the resulting
@@ -172,14 +173,14 @@ def eve_bell_probe(
 
 def intercept(
     strategy: EveStrategy,
-    register: StateVector,
+    register: StateVector | LabelRegister,
     upper: Sequence[int],
     lower: Sequence[int],
     block_index: int,
     op_set: CoreOpSet,
     rng: np.random.Generator,
     log: EveLog | None = None,
-) -> tuple[StateVector, int | None]:
+) -> tuple[StateVector | LabelRegister, int | None]:
     """Apply a strategy to one in-flight block.
 
     Returns the forwarded register and, for rearrangement-guessing attacks,
@@ -200,8 +201,11 @@ def intercept(
         if log is not None:
             log.guesses.append(GuessEntry(block_index, guess_index, symbols))
         return register, guess_index
-    # bell_probe: interrogate slot-aligned duos, one per budget unit
+    # bell_probe: interrogate slot-aligned duos, one per budget unit. The
+    # probe is not Clifford, so the block continues on the dense engine.
     assert strategy.a is not None and strategy.b is not None
+    if isinstance(register, LabelRegister):
+        register = register.state()
     for slot in range(min(strategy.budget, len(upper))):
         outcome, register = eve_bell_probe(
             register, upper[slot], lower[slot], strategy.a, strategy.b, rng

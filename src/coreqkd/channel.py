@@ -15,7 +15,7 @@ import numpy as np
 
 from . import adversary
 from .adversary import EveLog, EveStrategy
-from .quantum import SIGMA_X, SIGMA_Y, SIGMA_Z, StateVector, apply_single_qubit
+from .quantum import SIGMA_X, SIGMA_Y, SIGMA_Z, LabelRegister, StateVector, apply_single_qubit
 from .rearrange import CoreOpSet
 
 _PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
@@ -25,17 +25,17 @@ _PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 class TransitBlock:
     """One block in flight: the joint register and the slot-to-qubit orders."""
 
-    register: StateVector
+    register: StateVector | LabelRegister
     upper: tuple[int, ...]
     lower: tuple[int, ...]
 
 
 def depolarize(
-    register: StateVector,
+    register: StateVector | LabelRegister,
     qubits: tuple[int, ...],
     probability: float,
     rng: np.random.Generator,
-) -> StateVector:
+) -> StateVector | LabelRegister:
     """Per-qubit depolarizing noise at the given rate.
 
     Each listed qubit is replaced by the maximally mixed state with the

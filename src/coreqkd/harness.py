@@ -467,15 +467,18 @@ def parse_experiment_string(text: str, name_hint: str = "<string>") -> Experimen
     if "session" not in got:
         raise ConfigError(f"{name_hint}: missing [session] section")
     try:
-        # [rearrangement] perms fills op_set.
         session = SessionConfig(**{
             "n_blocks": 100,
             "control_key": ControlKey.from_bits("0001"),
             **got["session"],
-            **got.get("rearrangement", {}),
         })
     except ValueError as exc:
         raise ConfigError(f"{name_hint}: [session] {exc}") from exc
+    try:
+        # Apart from [session], so that an op-set error names [rearrangement] perms.
+        session = replace(session, **got.get("rearrangement", {}))
+    except ValueError as exc:
+        raise ConfigError(f"{name_hint}: [rearrangement] perms: {exc}") from exc
     params = dict(got.get("eve", {}))
     try:
         eve = _eve(params.pop("kind", "none"), params, session.control_key, session.group)

@@ -21,7 +21,8 @@ import numpy as np
 
 from .adversary import EveLog, EveStrategy
 from .channel import TransitBlock, transmit
-from .quantum import BellState, StateVector, bell_measure, bell_state, tensor
+from .quantum import BELL_STATES, BellState, LabelRegister, bell_measure
+from .quantum import tensor  # noqa: F401  perfbench's quantum.tensor span wraps this name
 from .rearrange import (
     ControlKey,
     CoreOpSet,
@@ -70,9 +71,9 @@ class SessionConfig:
         if 2 * self.block_size > 8:
             raise ValueError("block registers are capped at 8 qubits")
         if not 0.0 < self.check_fraction < 1.0:
-            raise ValueError("check fraction must lie in (0, 1)")
+            raise ValueError("check_fraction must lie in (0, 1)")
         if not 0.0 < self.error_threshold <= 1.0:
-            raise ValueError("error threshold must lie in (0, 1]")
+            raise ValueError("error_threshold must lie in (0, 1]")
         if not 0.0 <= self.noise < 1.0:
             raise ValueError("noise must lie in [0, 1)")
         if not 0 <= self.seed < 2**64:
@@ -83,7 +84,7 @@ class SessionConfig:
             raise ValueError("requested_key_bits must be >= 2")
         n_pairs = self.n_blocks * self.block_size
         if math.ceil(self.check_fraction * n_pairs) > n_pairs - 1:
-            raise ValueError("check fraction leaves no unchecked pair")
+            raise ValueError("check_fraction leaves no unchecked pair")
 
 
 @dataclass(frozen=True)
@@ -196,14 +197,14 @@ class SessionTranscript:
 
 def alice_prepare_block(
     rng: np.random.Generator, block_size: int = 4
-) -> tuple[list[BellState], StateVector]:
+) -> tuple[list[BellState], LabelRegister]:
     """Draw one block of Bell symbols uniformly and build its joint register.
 
-    Pair k occupies qubits (2k, 2k+1): the upper-channel half first.
+    Pair k occupies qubits (2k, 2k+1): the upper-channel half first. The
+    register is a ``LabelRegister``; its ``state()`` is the dense one.
     """
-    symbols = [BellState(int(v)) for v in rng.integers(0, 4, size=block_size)]
-    register = tensor(*(bell_state(s) for s in symbols))
-    return symbols, register
+    values = rng.integers(0, 4, size=block_size).tolist()
+    return [BELL_STATES[v] for v in values], LabelRegister(values)
 
 
 def _check_records(
@@ -272,31 +273,31 @@ def _run_blocks(
     log = EveLog() if cfg.eve is not None and cfg.eve.kind != "none" else None
     records: list[PairRecord] = []
     blocks: list[BlockRecord] = []
+    op_set, size = cfg.op_set, cfg.block_size
+    upper = tuple(range(0, 2 * size, 2))
+    lower_prepared = tuple(range(1, 2 * size, 2))
     for t in range(cfg.n_blocks):
-        a_op = cfg.op_set[alice_ops[t]]
-        b_op = cfg.op_set[bob_ops[t]]
-        symbols, register = alice_prepare_block(rng, cfg.block_size)
-        upper = tuple(2 * k for k in range(cfg.block_size))
-        lower = apply_core(a_op, tuple(2 * k + 1 for k in range(cfg.block_size)))
+        a_op = op_set[alice_ops[t]]
+        b_op = op_set[bob_ops[t]]
+        symbols, register = alice_prepare_block(rng, size)
+        lower = apply_core(a_op, lower_prepared)
         delivered, guess = transmit(
             TransitBlock(register, upper, lower),
             cfg.eve,
             cfg.noise,
             rng,
-            op_set=cfg.op_set,
+            op_set=op_set,
             block_index=t,
             log=log,
         )
         restored = invert_core(b_op, delivered.lower)
         register = delivered.register
         sifted = a_op.index == b_op.index
-        for k in range(cfg.block_size):
+        for k in range(size):
             measured, register = bell_measure(
                 register, delivered.upper[k], restored[k], rng
             )
-            records.append(
-                PairRecord(t, k, symbols[k], measured, checked=False, sifted=sifted)
-            )
+            records.append(PairRecord(t, k, symbols[k], measured, False, sifted))
         blocks.append(
             BlockRecord(
                 t,

@@ -1,11 +1,35 @@
-"""Dense exact quantum-state engine for registers of up to eight qubits.
+"""Exact quantum-state engine for registers of up to eight qubits, in two representations.
 
-Everything is plain numpy linear algebra on complex128 arrays: Bell-pair
-construction, reduced density matrices, the two-spin correlation observable
-along arbitrary measurement directions, Bell-basis projective measurement
-on a chosen qubit pair with Born-rule sampling, and single-qubit gates.
-Every operation on a subset of qubits goes through one kernel that brings
-those qubits to the front of the amplitude array and back.
+``StateVector`` is the dense engine: plain numpy linear algebra on
+complex128 amplitude arrays for Bell-pair construction, reduced density
+matrices, the two-spin correlation observable along arbitrary measurement
+directions, Bell-basis projective measurement on a chosen qubit pair with
+Born-rule sampling, and single-qubit gates. Every operation on a subset of
+qubits goes through one kernel that brings those qubits to the front of the
+amplitude array and back. It serves every non-Clifford step and every
+direct caller.
+
+``LabelRegister`` is the Clifford engine. A block of Bell pairs that is
+only reordered, Bell-measured and hit by Pauli gates stays a perfect
+matching of its qubits into Bell pairs (Gottesman-Knill), so the register
+is a partner table plus one 2-bit ``BellState.value`` label per pair.
+``bell_measure`` and ``apply_single_qubit`` branch on the register's type:
+
+* a Bell measurement on a genuine pair returns its label;
+* on halves of two different pairs, labelled P and Q, it returns R with
+  probability 1/4 each; the measured halves become a pair labelled R and
+  their two partners a pair labelled P ^ Q ^ R (labels do not depend on
+  qubit order: a Bell state is symmetric under a swap up to a sign);
+* X, Y and Z XOR the label of the hit pair with 2, 3 and 1.
+
+Both engines make the same ``rng`` call for the same step: one
+``rng.random()`` per Bell measurement, drawn through ``sample_index`` over
+the outcome probabilities. So a session gives the same outcomes on either
+engine, with one caveat: dense probabilities of uniform branches are
+0.25 +- 1 ulp, not exactly 0.25, so the engines could disagree only on a
+draw within about 1e-16 of 0.25, 0.5 or 0.75. ``LabelRegister.state()``
+returns the dense register, which for a freshly prepared block equals the
+``tensor`` of its Bell states bit for bit.
 
 Conventions used throughout the package:
 
@@ -54,12 +78,16 @@ class BellState(Enum):
 
     @property
     def key_bits(self) -> tuple[int, int]:
-        return (self.value >> 1) & 1, self.value & 1
+        return _KEY_BITS[self._value_]
 
     @classmethod
     def from_bits(cls, high: int, low: int) -> "BellState":
         return cls(((high & 1) << 1) | (low & 1))
 
+
+# Indexed by BellState value: the member and its two key bits.
+BELL_STATES = tuple(BellState)
+_KEY_BITS = tuple(((v >> 1) & 1, v & 1) for v in range(4))
 
 # Row k is the state vector of BellState(k) in the |00>,|01>,|10>,|11> basis.
 _BELL_MATRIX = np.array(
@@ -148,6 +176,70 @@ class StateVector:
 
     def __repr__(self) -> str:
         return f"StateVector(n_qubits={self.n_qubits})"
+
+
+class LabelRegister:
+    """A register of 2..8 qubits that is a perfect matching into Bell pairs.
+
+    ``partner[q]`` is the qubit paired with q and ``label[q]`` the pair's
+    ``BellState.value``, stored at both ends. ``LabelRegister(labels)``
+    prepares pair k on qubits (2k, 2k+1) in the Bell state of value
+    labels[k]. Instances are immutable; a measurement or a Pauli gate
+    returns a new register (see the module docstring for the rules).
+    """
+
+    __slots__ = ("partner", "label")
+
+    def __init__(self, labels: Sequence[int]):
+        if not 1 <= len(labels) <= MAX_QUBITS // 2 or not _LABEL_VALUES.issuperset(labels):
+            raise ValueError(f"need 1..{MAX_QUBITS // 2} BellState values, got {labels!r}")
+        _set(self, "partner", _PREPARED_PARTNERS[len(labels)])
+        _set(self, "label", tuple([v for v in labels for _ in (0, 1)]))
+
+    @property
+    def n_qubits(self) -> int:
+        return len(self.partner)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError("LabelRegister is immutable")
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, LabelRegister)
+            and self.partner == other.partner
+            and self.label == other.label
+        )
+
+    def __repr__(self) -> str:
+        return f"LabelRegister(partner={self.partner}, label={self.label})"
+
+    def state(self) -> StateVector:
+        """The dense register: the tensor of the pairs, each lower qubit first.
+
+        For the matching (2k, 2k+1) this is ``tensor`` of the pairs' Bell
+        states bit for bit; otherwise the same up to a global sign.
+        """
+        pairs = [(q, p) for q, p in enumerate(self.partner) if q < p]
+        dense = tensor(*(bell_state(BELL_STATES[self.label[q]]) for q, _ in pairs))
+        order = tuple(q for pair in pairs for q in pair)
+        if order == tuple(range(self.n_qubits)):
+            return dense
+        moved = np.moveaxis(dense.amps.reshape([2] * self.n_qubits), range(self.n_qubits), order)
+        return StateVector(moved.reshape(-1))
+
+
+_LABEL_VALUES = frozenset(range(4))
+# Partner table of the matching (2k, 2k+1), by number of pairs.
+_PREPARED_PARTNERS = {k: tuple(q ^ 1 for q in range(2 * k)) for k in range(1, MAX_QUBITS // 2 + 1)}
+_set = object.__setattr__
+
+
+def _labels(partner: tuple[int, ...], label: tuple[int, ...]) -> LabelRegister:
+    """A LabelRegister from tables the caller has already made consistent."""
+    register = object.__new__(LabelRegister)
+    _set(register, "partner", partner)
+    _set(register, "label", label)
+    return register
 
 
 def bell_state(symbol: BellState) -> StateVector:
@@ -327,23 +419,75 @@ def bell_project(
 
 
 def bell_measure(
-    register: StateVector, qubit_i: int, qubit_j: int, rng: np.random.Generator
-) -> tuple[BellState, StateVector]:
+    register: StateVector | LabelRegister, qubit_i: int, qubit_j: int, rng: np.random.Generator
+) -> tuple[BellState, StateVector | LabelRegister]:
     """Sample a Bell-basis measurement on qubits (i, j) and collapse.
 
     Returns the sampled outcome and the renormalised post-measurement
-    register. Born probabilities are exact; the branch choice is the only
-    random element.
+    register, of the type given. Born probabilities are exact; the branch
+    choice is the only random element, one ``rng.random()`` on either
+    engine.
     """
+    if isinstance(register, LabelRegister):
+        return _measure_labels(register, qubit_i, qubit_j, rng)
     coeffs = _bell_coefficients(register, qubit_i, qubit_j)
     probs = (np.abs(coeffs) ** 2).sum(axis=1)
     k = sample_index(probs, rng)
-    return BellState(k), _bell_collapse(register, qubit_i, qubit_j, k, coeffs[k], probs[k])
+    return BELL_STATES[k], _bell_collapse(register, qubit_i, qubit_j, k, coeffs[k], probs[k])
+
+
+def _measure_labels(
+    register: LabelRegister, qubit_i: int, qubit_j: int, rng: np.random.Generator
+) -> tuple[BellState, LabelRegister]:
+    partner, label = register.partner, register.label
+    n = len(partner)
+    if qubit_i == qubit_j or not (0 <= qubit_i < n and 0 <= qubit_j < n):
+        raise ValueError("qubits must be distinct and in range")
+    mate_i = partner[qubit_i]
+    if mate_i == qubit_j:
+        rng.random()  # the draw sample_index makes on the dense engine, outcome certain
+        return BELL_STATES[label[qubit_i]], register
+    # sample_index over four branches of 1/4: 4u is exact, so this is the same branch.
+    k = int(4.0 * rng.random())
+    mate_j = partner[qubit_j]
+    swapped = label[qubit_i] ^ label[qubit_j] ^ k
+    new_partner = list(partner)
+    new_label = list(label)
+    new_partner[qubit_i], new_partner[qubit_j] = qubit_j, qubit_i
+    new_partner[mate_i], new_partner[mate_j] = mate_j, mate_i
+    new_label[qubit_i] = new_label[qubit_j] = k
+    new_label[mate_i] = new_label[mate_j] = swapped
+    return BELL_STATES[k], _labels(tuple(new_partner), tuple(new_label))
 
 
 def apply_single_qubit(
-    register: StateVector, qubit: int, matrix: np.ndarray
-) -> StateVector:
-    """Apply a 2x2 unitary to one qubit of the register."""
+    register: StateVector | LabelRegister, qubit: int, matrix: np.ndarray
+) -> StateVector | LabelRegister:
+    """Apply a 2x2 unitary to one qubit of the register.
+
+    A ``LabelRegister`` takes only the Paulis X, Y and Z and raises
+    ``ValueError`` on any other gate.
+    """
+    if isinstance(register, LabelRegister):
+        return _flip_labels(register, qubit, matrix)
     out = np.asarray(matrix, dtype=complex) @ _to_front(register, (qubit,))
     return _from_front(out, register.n_qubits, (qubit,))
+
+
+# X, Y and Z on either qubit of a Bell pair, with the XOR each applies to its label.
+_PAULI_FLIPS = ((SIGMA_X, 2), (SIGMA_Y, 3), (SIGMA_Z, 1))
+
+
+def _flip_labels(register: LabelRegister, qubit: int, matrix: np.ndarray) -> LabelRegister:
+    gate = np.asarray(matrix)
+    for pauli, flip in _PAULI_FLIPS:
+        if gate.shape == (2, 2) and (gate == pauli).all():
+            break
+    else:
+        raise ValueError("a label register takes only the Pauli gates X, Y and Z")
+    if not 0 <= qubit < register.n_qubits:
+        raise ValueError("qubit index out of range")
+    label = list(register.label)
+    label[qubit] ^= flip
+    label[register.partner[qubit]] ^= flip
+    return _labels(register.partner, tuple(label))

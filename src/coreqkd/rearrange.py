@@ -28,6 +28,7 @@ output slot collide. The induced permutation is read off the output order.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence, TypeVar
@@ -79,7 +80,7 @@ class CoreOp:
     def block_size(self) -> int:
         return len(self.perm)
 
-    @property
+    @functools.cached_property
     def inverse_perm(self) -> tuple[int, ...]:
         inv = [0] * len(self.perm)
         for p, src in enumerate(self.perm):
@@ -203,7 +204,7 @@ class GroupConfig:
 
     def __post_init__(self) -> None:
         if self.group_size < 1:
-            raise ValueError("group size must be >= 1")
+            raise ValueError("group_size must be >= 1")
 
 
 def op_index_for_block(key: ControlKey, group: GroupConfig, block: int) -> int:
@@ -249,9 +250,9 @@ class DeviceModel:
 
     def __post_init__(self) -> None:
         if self.loop_delay < 1:
-            raise ValueError("loop delay must be >= 1 slot")
+            raise ValueError("loop_delay must be >= 1 slot")
         if self.max_circuits < 1:
-            raise ValueError("circuit budget must be >= 1")
+            raise ValueError("max_circuits must be >= 1")
 
 
 def schedule_to_perm(

@@ -1,6 +1,7 @@
 """Tests for the experiment harness, configuration grammar and reports."""
 
 import csv
+import hashlib
 import math
 import re
 import subprocess
@@ -69,7 +70,7 @@ BAD_SPECS = {
     "negative_seed": ("[experiment]\nseed = -1\n" + SESSION, r"\[experiment\] seed"),
     "eve_budget": (SESSION + "[eve]\nkind = bell_probe\nbudget = x\n", r"\[eve\] budget"),
     "eve_nan_weights": (
-        SESSION + "[eve]\nkind = guess_core\nweights = nan nan nan nan\n", r"\[eve\] guess weights"
+        SESSION + "[eve]\nkind = guess_core\nweights = nan nan nan nan\n", r"\[eve\] weights"
     ),
     "eve_nan_direction": (SESSION + "[eve]\nkind = bell_probe\na = nan 0 0\n", r"\[eve\] a: direction"),
     "keyed_requested_key_bits": (
@@ -85,6 +86,18 @@ BAD_SPECS = {
         )
         for key, value in (("a", "1 0 0"), ("b", "0 0 1"), ("budget", "2"))
     },
+    "five_element_perms": (
+        SESSION + "[rearrangement]\nperms = 01234 12340 23401 34012\n",
+        r"\[rearrangement\] perms: block registers are capped at 8 qubits",
+    ),
+    "eve_budget_zero": (SESSION + "[eve]\nkind = bell_probe\nbudget = 0\n", r"\[eve\] budget must be >= 1"),
+    "device_loop_delay_zero": (SESSION + "[device]\nloop_delay = 0\n", r"\[device\] loop_delay must be >= 1"),
+    "device_max_circuits_zero": (
+        SESSION + "[device]\nmax_circuits = 0\n", r"\[device\] max_circuits must be >= 1"
+    ),
+    "check_fraction_above_one": (
+        SESSION + "check_fraction = 1.5\n", r"\[session\] check_fraction must lie in \(0, 1\)"
+    ),
     "long_name": ("[experiment]\nname = " + "x" * 140_000 + "\n" + SESSION, r"\[experiment\] name"),
 }
 
@@ -179,6 +192,43 @@ class TestConfigParsing:
         text = GOOD_SPEC + "\n[rearrangement]\nperms = 0123 1032 2301 3210\n"
         with pytest.raises(ConfigError, match=r"\[rearrangement\].*UNREALIZABLE"):
             parse_experiment_string(text)
+
+
+# Small experiments whose csv reports are pinned by sha256, one per path through
+# the engines: keyed guess_core with noise, a bootstrap noise sweep, a bell_probe row.
+# A change that moves any RNG stream or any outcome changes a digest.
+PINNED_REPORTS = {
+    "keyed_guess_core_noise": (
+        "[experiment]\nname = pin-keyed\ntrials = 2\nseed = 17\n"
+        "[session]\nn_blocks = 40\ncontrol_key = 00011011\nerror_threshold = 1.0\nnoise = 0.1\n"
+        "[eve]\nkind = guess_core\n",
+        "baf0a605c43b5357948e6b6a6c10dcb9019d360643766680aa157253435e0039",
+    ),
+    "bootstrap_noise_sweep": (
+        "[experiment]\nname = pin-bootstrap\ntrials = 2\nseed = 23\n"
+        "[session]\nmode = bootstrap\nn_blocks = 64\n"
+        "[sweep]\nnoise = 0.0 0.1 0.37\n",
+        "eba4e5101e8602d7e45a47158ee4c481d8550067c2ae69b98c4888bd0d67640b",
+    ),
+    "bell_probe": (
+        "[experiment]\nname = pin-probe\ntrials = 2\nseed = 29\n"
+        "[session]\nn_blocks = 30\ncontrol_key = 0110\nerror_threshold = 1.0\nnoise = 0.05\n"
+        "[eve]\nkind = bell_probe\na = 1 0 0\nb = 0 1 1\nbudget = 2\n",
+        "5c706127b1052d690da319840e7f20bd72337d3964ff94ace92ac2ec87443cec",
+    ),
+}
+
+
+def report_digest(text: str) -> str:
+    rows = run_experiment(parse_experiment_string(text))
+    return hashlib.sha256(emit_report(rows, "csv").encode()).hexdigest()
+
+
+class TestRngStreams:
+    @pytest.mark.parametrize("name", PINNED_REPORTS)
+    def test_report_bytes_are_pinned(self, name):
+        text, digest = PINNED_REPORTS[name]
+        assert report_digest(text) == digest
 
 
 class TestSeeding:

@@ -4,8 +4,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+from coreqkd import protocol
 from coreqkd.adversary import EveStrategy
 from coreqkd.protocol import (
     InsufficientSiftError,
@@ -21,7 +24,7 @@ from coreqkd.protocol import (
     run_bootstrap_session,
     run_keyed_session,
 )
-from coreqkd.quantum import BellState, bell_outcome_probabilities
+from coreqkd.quantum import BellState, Direction, LabelRegister, StateVector, bell_outcome_probabilities
 from coreqkd.rearrange import ControlKey, CoreOpSet, GroupConfig
 
 KEY_ALL_OPS = ControlKey.from_indices([0, 1, 2, 3])
@@ -72,13 +75,14 @@ class TestPrepareBlock:
 
     def test_register_norm(self):
         _, register = alice_prepare_block(np.random.default_rng(2))
-        assert register.norm() == pytest.approx(1.0, abs=1e-12)
+        assert register.state().norm() == pytest.approx(1.0, abs=1e-12)
 
     def test_each_pair_measures_back_to_its_symbol(self):
         """Oracle: exact Born probabilities on the prepared register."""
         symbols, register = alice_prepare_block(np.random.default_rng(3))
+        assert register.label == tuple(s.value for s in symbols for _ in (0, 1))
         for k, s in enumerate(symbols):
-            probs = bell_outcome_probabilities(register, 2 * k, 2 * k + 1)
+            probs = bell_outcome_probabilities(register.state(), 2 * k, 2 * k + 1)
             assert probs[s.value] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -298,3 +302,91 @@ class TestBootstrapSession:
         (key_a, ta), (key_b, tb) = run_bootstrap_session(cfg), run_bootstrap_session(cfg)
         assert key_a == key_b
         assert ta.records == tb.records
+
+
+DERANGEMENTS = [p for p in itertools.permutations(range(4)) if all(p[i] != i for i in range(4))]
+
+
+def session_result(cfg: SessionConfig):
+    """Everything a session returns, or the message of its sift error."""
+    try:
+        if cfg.mode == "keyed":
+            return run_keyed_session(cfg)
+        return run_bootstrap_session(cfg)
+    except InsufficientSiftError as exc:
+        return str(exc)
+
+
+def dense_session_result(cfg: SessionConfig):
+    """The same session with every block prepared as a dense state vector."""
+    prepare = alice_prepare_block
+
+    def dense_prepare(rng, block_size=4):
+        symbols, register = prepare(rng, block_size)
+        assert isinstance(register, LabelRegister)
+        return symbols, register.state()
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(protocol, "alice_prepare_block", dense_prepare)
+        return session_result(cfg)
+
+
+@st.composite
+def sessions(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    key = ControlKey.random(int(rng.integers(1, 5)), rng)
+    group = GroupConfig(int(rng.integers(1, 4)))
+    chosen = rng.choice(len(DERANGEMENTS), size=3, replace=False)
+    weights = rng.random(4)
+    weights[rng.integers(0, 4)] = 0.0
+    eve = draw(st.sampled_from([
+        None,
+        EveStrategy.none(),
+        EveStrategy.guess_core(),
+        EveStrategy.guess_core(list(weights / weights.sum())),
+        EveStrategy.known_key(key, group),
+        EveStrategy.known_key(ControlKey.random(int(rng.integers(1, 5)), rng), group),
+        EveStrategy.bell_probe(
+            Direction.normalized(*rng.normal(size=3)),
+            Direction.normalized(*rng.normal(size=3)),
+            int(rng.integers(1, 5)),
+        ),
+    ]))
+    return SessionConfig(
+        n_blocks=draw(st.integers(1, 10)),
+        control_key=key,
+        group=group,
+        check_fraction=draw(st.sampled_from([0.25, 0.5, 0.75])),
+        error_threshold=draw(st.sampled_from([0.1, 1.0])),
+        seed=int(rng.integers(0, 2**63)),
+        mode=draw(st.sampled_from(["keyed", "bootstrap"])),
+        eve=eve,
+        noise=draw(st.sampled_from([0.0, 0.1, 0.37, 0.9])),
+        op_set=CoreOpSet([tuple(range(4))] + [DERANGEMENTS[int(i)] for i in chosen]),
+    )
+
+
+class TestLabelEngine:
+    """Sessions on the label register against the same sessions on the dense engine."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(cfg=sessions())
+    def test_sessions_match_the_dense_engine(self, cfg):
+        assert session_result(cfg) == dense_session_result(cfg)
+
+    def test_the_dense_run_is_dense(self):
+        seen = []
+        original = protocol.bell_measure
+
+        def spy(register, *args):
+            seen.append(type(register))
+            return original(register, *args)
+
+        cfg = SessionConfig(n_blocks=3, control_key=KEY_ALL_OPS, eve=EveStrategy.guess_core())
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(protocol, "bell_measure", spy)
+            session_result(cfg)
+            assert set(seen) == {LabelRegister}
+            seen.clear()
+            dense_session_result(cfg)
+            assert set(seen) == {StateVector}

@@ -1,4 +1,4 @@
-"""Tests for the dense quantum-state engine."""
+"""Tests for the dense quantum-state engine and the Bell-label register."""
 
 import itertools
 
@@ -9,8 +9,12 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from coreqkd.quantum import (
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
     BellState,
     Direction,
+    LabelRegister,
     StateVector,
     Z_DIR,
     _BELL_MATRIX,
@@ -29,6 +33,7 @@ from coreqkd.quantum import (
     partial_trace_register,
     pauli_along,
     random_direction,
+    sample_index,
     tensor,
 )
 
@@ -393,3 +398,131 @@ class TestPauliAlong:
             np.testing.assert_allclose(m, m.conj().T, atol=1e-12)
             np.testing.assert_allclose(m @ m, np.eye(2), atol=1e-12)
             assert abs(np.trace(m)) < 1e-12
+
+
+class FixedDraw:
+    """Stand-in generator whose ``random()`` always returns ``u``; counts the draws."""
+
+    def __init__(self, u: float):
+        self.u = u
+        self.draws = 0
+
+    def random(self) -> float:
+        self.draws += 1
+        return self.u
+
+
+def same_up_to_phase(a: StateVector, b: StateVector) -> bool:
+    return abs(abs(np.vdot(a.amps, b.amps)) - 1.0) < 1e-12
+
+
+# Two pairs on (0, 1) and (2, 3): every ordered duo of halves from different
+# pairs, and every ordered genuine duo.
+CROSS_DUOS = [(i, j) for i, j in itertools.permutations(range(4), 2) if i // 2 != j // 2]
+GENUINE_DUOS = [(0, 1), (1, 0), (2, 3), (3, 2)]
+PAULI_FLIPS = ((SIGMA_X, 2), (SIGMA_Y, 3), (SIGMA_Z, 1))
+
+
+class TestLabelRegister:
+    """The label rules against the dense engine, which is their oracle."""
+
+    def test_prepared_state_is_the_tensor_bit_for_bit(self):
+        for labels in itertools.product(range(4), repeat=4):
+            register = LabelRegister(labels)
+            assert register.state() == tensor(*(bell_state(BellState(v)) for v in labels))
+
+    def test_measuring_halves_of_two_pairs_swaps_the_entanglement(self):
+        for p, q, r in itertools.product(range(4), repeat=3):
+            register = LabelRegister([p, q])
+            dense = register.state()
+            for i, j in CROSS_DUOS:
+                rng = FixedDraw((r + 0.5) / 4)
+                outcome, after = bell_measure(register, i, j, rng)
+                assert outcome is BellState(r) and rng.draws == 1
+                assert after.partner[i] == j and after.label[i] == r
+                assert after.label[register.partner[i]] == p ^ q ^ r
+                prob, collapsed = bell_project(dense, i, j, r)
+                assert prob == pytest.approx(0.25, abs=1e-12)
+                assert same_up_to_phase(after.state(), collapsed)
+
+    def test_measuring_a_genuine_pair_returns_its_label(self):
+        for p, q in itertools.product(range(4), repeat=2):
+            register = LabelRegister([p, q])
+            dense = register.state()
+            for i, j in GENUINE_DUOS:
+                rng = FixedDraw(0.999)
+                outcome, after = bell_measure(register, i, j, rng)
+                assert outcome.value == register.label[i] and rng.draws == 1
+                assert after == register
+                prob, collapsed = bell_project(dense, i, j, outcome)
+                assert prob == pytest.approx(1.0, abs=1e-12)
+                assert same_up_to_phase(after.state(), collapsed)
+
+    def test_uniform_branch_is_the_branch_sample_index_picks(self):
+        register = LabelRegister([0, 3])
+        for u in (0.0, 0.25, 0.5, 0.75, *np.nextafter([0.25, 0.5, 0.75, 1.0], 0.0)):
+            outcome, _ = bell_measure(register, 0, 2, FixedDraw(float(u)))
+            assert outcome.value == sample_index((0.25,) * 4, FixedDraw(float(u)))
+
+    def test_pauli_gates_xor_the_label_of_the_hit_pair(self):
+        for p, q in itertools.product(range(4), repeat=2):
+            register = LabelRegister([p, q])
+            for qubit, (pauli, flip) in itertools.product(range(4), PAULI_FLIPS):
+                after = apply_single_qubit(register, qubit, pauli)
+                hit = qubit // 2
+                assert after.label[2 * hit] == [p, q][hit] ^ flip
+                assert after.label[2 * (1 - hit)] == [p, q][1 - hit]
+                expected = apply_single_qubit(register.state(), qubit, pauli)
+                assert same_up_to_phase(after.state(), expected)
+
+    def test_gates_are_recognised_by_value_and_others_refused(self):
+        register = LabelRegister([1, 2])
+        by_value = apply_single_qubit(register, 0, [[0, 1], [1, 0]])
+        assert by_value == apply_single_qubit(register, 0, SIGMA_X)
+        hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+        for gate in (hadamard, np.eye(2), np.eye(4)):
+            with pytest.raises(ValueError, match="Pauli"):
+                apply_single_qubit(register, 0, gate)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        labels=st.lists(st.integers(0, 3), min_size=4, max_size=4),
+        steps=st.lists(
+            st.one_of(
+                st.tuples(st.just("measure"), st.integers(0, 7), st.integers(0, 7)).filter(
+                    lambda step: step[1] != step[2]
+                ),
+                st.tuples(st.just("pauli"), st.integers(0, 7), st.integers(0, 2)),
+            ),
+            max_size=12,
+        ),
+    )
+    def test_step_sequences_track_the_dense_engine(self, seed, labels, steps):
+        """Same outcomes, same states up to phase and the same RNG state, step by step."""
+        register = LabelRegister(labels)
+        dense = register.state()
+        rng_labels, rng_dense = np.random.default_rng(seed), np.random.default_rng(seed)
+        for kind, a, b in steps:
+            if kind == "measure":
+                outcome, register = bell_measure(register, a, b, rng_labels)
+                expected, dense = bell_measure(dense, a, b, rng_dense)
+                assert outcome is expected
+            else:
+                register = apply_single_qubit(register, a, PAULI_FLIPS[b][0])
+                dense = apply_single_qubit(dense, a, PAULI_FLIPS[b][0])
+            assert same_up_to_phase(register.state(), dense)
+            assert rng_labels.bit_generator.state == rng_dense.bit_generator.state
+
+    def test_rejects_what_is_not_a_block_of_bell_states(self):
+        for labels in ([], [0, 1, 2, 3, 0], [0, 4], [-1], [0.5]):
+            with pytest.raises(ValueError):
+                LabelRegister(labels)
+
+    def test_immutable_and_measurement_checks_its_qubits(self):
+        register = LabelRegister([0, 1])
+        with pytest.raises(AttributeError):
+            register.label = (0, 0, 0, 0)
+        for i, j in ((1, 1), (0, 4), (-1, 2)):
+            with pytest.raises(ValueError):
+                bell_measure(register, i, j, np.random.default_rng(0))
