@@ -96,13 +96,6 @@ class EveStrategy:
 
 
 @dataclass
-class GuessEntry:
-    block: int
-    guess_index: int
-    measured: tuple[BellState, ...]
-
-
-@dataclass
 class ProbeEntry:
     block: int
     slot: int
@@ -111,9 +104,14 @@ class ProbeEntry:
 
 @dataclass
 class EveLog:
-    """Record of everything the adversary did and observed."""
+    """Record of everything the adversary did and observed.
 
-    guesses: list[GuessEntry] = field(default_factory=list)
+    ``symbols`` is a byte column: the ``BellState`` value Eve measured on each
+    pair of every block she guessed, block by block in slot order (her guessed
+    op is the transcript's ``eve_guess`` column).
+    """
+
+    symbols: bytearray = field(default_factory=bytearray)
     probes: list[ProbeEntry] = field(default_factory=list)
 
     @property
@@ -199,7 +197,7 @@ def intercept(
             register, upper, lower, op_set[guess_index], rng
         )
         if log is not None:
-            log.guesses.append(GuessEntry(block_index, guess_index, symbols))
+            log.symbols.extend(s._value_ for s in symbols)
         return register, guess_index
     # bell_probe: interrogate slot-aligned duos, one per budget unit. The
     # probe is not Clifford, so the block continues on the dense engine.

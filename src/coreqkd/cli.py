@@ -61,8 +61,9 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     print(f"control key bits: {cfg.control_key.as_bit_string()} "
           f"(op indices {list(cfg.control_key.op_indices)})")
     transcript = run_keyed_session(cfg)
+    size = cfg.block_size
     for block in transcript.blocks:
-        pairs = [r for r in transcript.records if r.block == block.index]
+        pairs = transcript.records[block.index * size : (block.index + 1) * size]
         prepared = " ".join(p.prepared.name for p in pairs)
         measured = " ".join(p.measured.name for p in pairs)
         op = cfg.op_set[block.alice_op]

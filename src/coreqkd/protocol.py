@@ -9,13 +9,25 @@ key extraction (two bits per surviving pair).
 
 All randomness of a session flows from ``SessionConfig.seed``; a transcript
 is a deterministic function of the configuration.
+
+A ``SessionTranscript`` keeps its outcomes as read-only numpy columns. Per
+pair (``PairColumns``): the prepared and measured ``BellState`` values and
+the checked and sifted flags; pair i is slot ``i % block_size`` of block
+``i // block_size``. Per block (``BlockColumns``): Alice's op, Bob's op and
+Eve's guessed op (-1 where she guessed none). Eve's own symbols, one per
+pair of every block she guessed, are a byte column of her ``EveLog``. The
+derived statistics are array reductions over these columns. Both column
+sets are also sequences that build a ``PairRecord`` or ``BlockRecord`` each
+time one is read (nothing is cached), and a transcript given records
+instead of columns packs them into the same columns.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field, replace
-from typing import Sequence
+from collections.abc import Iterator, Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -114,6 +126,121 @@ class BlockRecord:
         return self.alice_op == self.bob_op
 
 
+def _column(values, dtype) -> np.ndarray:
+    column = np.array(values, dtype=dtype)
+    column.flags.writeable = False
+    return column
+
+
+class _Columns(Sequence):
+    """Read-only numpy columns read as a sequence of records built on access.
+
+    A subclass names its columns in ``_fields`` and defines ``_records(start,
+    stop, step)``, which yields the records of a slice, and ``_pack(records)``.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __len__(self) -> int:
+        return len(getattr(self, self._fields[0]))
+
+    def __getitem__(self, index):
+        picked = range(len(self))[index]
+        if isinstance(picked, int):
+            return next(self._records(picked, picked + 1, 1))
+        # A reversed range ends at -1, which a slice would read as the last item.
+        stop = picked.stop if picked.stop >= 0 else None
+        return tuple(self._records(picked.start, stop, picked.step))
+
+    def __iter__(self) -> Iterator:
+        return self._records(0, None, 1)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f), getattr(other, f)) for f in self._fields)
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"<{type(self).__name__}: {len(self)} records>"
+
+    @classmethod
+    def of(cls, records: Sequence):
+        """``records`` if they are columns already, else the columns holding them."""
+        if isinstance(records, cls):
+            return records
+        records = tuple(records)
+        columns = cls._pack(records)
+        if tuple(columns) != records:
+            raise ValueError(f"{cls.__name__} cannot hold these records in order")
+        return columns
+
+
+class PairColumns(_Columns):
+    """Per-pair columns; pair i is slot ``i % block_size`` of block ``i // block_size``."""
+
+    _fields = ("prepared", "measured", "checked", "sifted", "block_size")
+
+    def __init__(self, prepared, measured, checked, sifted, block_size: int):
+        self.prepared = _column(prepared, np.uint8)
+        self.measured = _column(measured, np.uint8)
+        self.checked = _column(checked, bool)
+        self.sifted = _column(sifted, bool)
+        self.block_size = block_size
+
+    def _records(self, start, stop, step):
+        rows = slice(start, stop, step)
+        size = self.block_size
+        for i, p, m, c, s in zip(
+            itertools.count(start, step),
+            self.prepared[rows].tolist(),
+            self.measured[rows].tolist(),
+            self.checked[rows].tolist(),
+            self.sifted[rows].tolist(),
+        ):
+            yield PairRecord(i // size, i % size, BELL_STATES[p], BELL_STATES[m], c, s)
+
+    @classmethod
+    def _pack(cls, records):
+        return cls(
+            [r.prepared.value for r in records],
+            [r.measured.value for r in records],
+            [r.checked for r in records],
+            [r.sifted for r in records],
+            max((r.slot for r in records), default=0) + 1,
+        )
+
+
+class BlockColumns(_Columns):
+    """Per-block columns; block t has index t, and ``eve_guess`` is -1 where Eve guessed none."""
+
+    _fields = ("alice_op", "bob_op", "eve_guess")
+
+    def __init__(self, alice_op, bob_op, eve_guess):
+        self.alice_op = _column(alice_op, np.uint8)
+        self.bob_op = _column(bob_op, np.uint8)
+        self.eve_guess = _column(eve_guess, np.int8)
+
+    def _records(self, start, stop, step):
+        rows = slice(start, stop, step)
+        for t, a, b, g in zip(
+            itertools.count(start, step),
+            self.alice_op[rows].tolist(),
+            self.bob_op[rows].tolist(),
+            self.eve_guess[rows].tolist(),
+        ):
+            yield BlockRecord(t, a, b, None if g < 0 else g, None if g < 0 else g == a)
+
+    @classmethod
+    def _pack(cls, records):
+        return cls(
+            [b.alice_op for b in records],
+            [b.bob_op for b in records],
+            [-1 if b.eve_guess is None else b.eve_guess for b in records],
+        )
+
+
 @dataclass(frozen=True)
 class VerdictReport:
     """Result of the eavesdropping check."""
@@ -124,15 +251,29 @@ class VerdictReport:
     checked_count: int
 
 
+# Row v holds the two key bits of the Bell state of value v.
+_KEY_BITS = np.array([s.key_bits for s in BELL_STATES], dtype=np.uint8)
+
+
 @dataclass(frozen=True)
 class SessionTranscript:
-    """Full record of a session: per-pair outcomes, ops, verdict, adversary log."""
+    """Full record of a session: per-pair outcomes, ops, verdict, adversary log.
+
+    ``records`` and ``blocks`` may be given as sequences of ``PairRecord`` and
+    ``BlockRecord``; they are packed into ``PairColumns`` and ``BlockColumns``.
+    """
 
     mode: str
-    records: tuple[PairRecord, ...]
-    blocks: tuple[BlockRecord, ...]
+    records: PairColumns
+    blocks: BlockColumns
     verdict: VerdictReport | None
     eve_log: EveLog | None = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "records", PairColumns.of(self.records))
+        object.__setattr__(self, "blocks", BlockColumns.of(self.blocks))
+        if self.blocks and len(self.records) != len(self.blocks) * self.records.block_size:
+            raise ValueError("records do not fill the blocks")
 
     # -- derived statistics ------------------------------------------------
 
@@ -146,53 +287,50 @@ class SessionTranscript:
 
     @property
     def sift_rate(self) -> float:
-        return sum(1 for b in self.blocks if b.sifted) / len(self.blocks)
+        blocks = self.blocks
+        return int(np.count_nonzero(blocks.alice_op == blocks.bob_op)) / len(blocks)
 
-    def _key_records(self) -> list[PairRecord]:
-        return [r for r in self.records if r.sifted and not r.checked]
+    def _key_bits(self, symbols: np.ndarray) -> tuple[int, ...]:
+        kept = symbols[self.records.sifted & ~self.records.checked]
+        return tuple(_KEY_BITS[kept].ravel().tolist())
 
     def raw_key(self) -> tuple[int, ...]:
         """Receiver-side raw key bits over unchecked, sifted pairs."""
-        bits: list[int] = []
-        for r in self._key_records():
-            bits.extend(r.measured.key_bits)
-        return tuple(bits)
+        return self._key_bits(self.records.measured)
 
     def sender_raw_key(self) -> tuple[int, ...]:
         """Sender-side bits over the same pairs, for agreement checks."""
-        bits: list[int] = []
-        for r in self._key_records():
-            bits.extend(r.prepared.key_bits)
-        return tuple(bits)
+        return self._key_bits(self.records.prepared)
+
+    def _share(self, pool: np.ndarray, agree: bool) -> float | None:
+        """Share of the pairs in the ``pool`` mask measured (un)equal to their symbol."""
+        n = int(np.count_nonzero(pool))
+        if not n:
+            return None
+        pairs = self.records
+        hits = pool & ((pairs.measured == pairs.prepared) == agree)
+        return int(np.count_nonzero(hits)) / n
 
     def agreement_rate(self, sifted: bool) -> float | None:
-        pool = [r for r in self.records if r.sifted == sifted]
-        if not pool:
-            return None
-        return sum(1 for r in pool if r.measured == r.prepared) / len(pool)
+        return self._share(self.records.sifted == sifted, True)
 
     def wrong_guess_error_rate(self) -> float | None:
         """Error rate over pairs in blocks the adversary guessed wrong."""
-        wrong = {b.index for b in self.blocks if b.eve_guess_correct is False}
-        pool = [r for r in self.records if r.block in wrong]
-        if not pool:
+        blocks = self.blocks
+        wrong = (blocks.eve_guess >= 0) & (blocks.eve_guess != blocks.alice_op)
+        if not wrong.any():
             return None
-        return sum(1 for r in pool if r.measured != r.prepared) / len(pool)
+        return self._share(np.repeat(wrong, self.records.block_size), False)
 
     def eve_bit_accuracy(self) -> float | None:
         """Fraction of Alice's pair bits the interceptor recovered, slot aligned."""
-        if self.eve_log is None or not self.eve_log.guesses:
+        if self.eve_log is None or not self.eve_log.symbols:
             return None
-        prepared = {(r.block, r.slot): r.prepared for r in self.records}
-        matched = 0
-        total = 0
-        for entry in self.eve_log.guesses:
-            for slot, sym in enumerate(entry.measured):
-                truth = prepared[(entry.block, slot)].key_bits
-                got = sym.key_bits
-                matched += (truth[0] == got[0]) + (truth[1] == got[1])
-                total += 2
-        return matched / total
+        got = np.frombuffer(self.eve_log.symbols, dtype=np.uint8)
+        guessed = np.repeat(self.blocks.eve_guess >= 0, self.records.block_size)
+        wrong_bits = _KEY_BITS[self.records.prepared[guessed] ^ got]
+        total = 2 * len(got)
+        return (total - int(np.count_nonzero(wrong_bits))) / total
 
 
 def alice_prepare_block(
@@ -208,29 +346,24 @@ def alice_prepare_block(
 
 
 def _check_records(
-    records: list[PairRecord],
+    pairs: PairColumns,
     check_fraction: float,
     threshold: float,
     rng: np.random.Generator,
-    eligible: Sequence[int],
-) -> tuple[VerdictReport, list[PairRecord]]:
-    """The public comparison over the eligible (sifted) records.
+    eligible: Sequence[int] | np.ndarray,
+) -> tuple[VerdictReport, PairColumns]:
+    """The public comparison over the eligible (sifted) pairs.
 
     Uniformly samples ceil(check_fraction * len(eligible)) of them, marks
     them checked, compares symbols, and accepts iff the error rate does not
     exceed the threshold. Checked pairs are excluded from the raw key.
-    Returns the verdict and the marked records.
+    Returns the verdict and the marked pairs.
     """
-    pool = list(eligible)
-    n_check = math.ceil(check_fraction * len(pool))
-    chosen = set(rng.choice(pool, size=n_check, replace=False).tolist()) if n_check else set()
-    errors = 0
-    updated = list(records)
-    for idx in chosen:
-        r = records[idx]
-        updated[idx] = replace(r, checked=True)
-        if r.measured != r.prepared:
-            errors += 1
+    n_check = math.ceil(check_fraction * len(eligible))
+    chosen = rng.choice(eligible, size=n_check, replace=False) if n_check else []
+    checked = pairs.checked.copy()
+    checked[chosen] = True
+    errors = int(np.count_nonzero(pairs.measured[chosen] != pairs.prepared[chosen]))
     rate = errors / n_check if n_check else 0.0
     verdict = VerdictReport(
         accepted=rate <= threshold,
@@ -238,7 +371,8 @@ def _check_records(
         threshold=threshold,
         checked_count=n_check,
     )
-    return verdict, updated
+    marked = PairColumns(pairs.prepared, pairs.measured, checked, pairs.sifted, pairs.block_size)
+    return verdict, marked
 
 
 def extract_raw_key(transcript: SessionTranscript) -> tuple[int, ...]:
@@ -269,10 +403,11 @@ def _run_blocks(
     rng: np.random.Generator,
     alice_ops: Sequence[int],
     bob_ops: Sequence[int],
-) -> tuple[list[PairRecord], list[BlockRecord], EveLog | None]:
+) -> tuple[PairColumns, BlockColumns, EveLog | None]:
     log = EveLog() if cfg.eve is not None and cfg.eve.kind != "none" else None
-    records: list[PairRecord] = []
-    blocks: list[BlockRecord] = []
+    prepared: list[int] = []
+    measured: list[int] = []
+    eve_guess: list[int] = []
     op_set, size = cfg.op_set, cfg.block_size
     upper = tuple(range(0, 2 * size, 2))
     lower_prepared = tuple(range(1, 2 * size, 2))
@@ -292,29 +427,23 @@ def _run_blocks(
         )
         restored = invert_core(b_op, delivered.lower)
         register = delivered.register
-        sifted = a_op.index == b_op.index
         for k in range(size):
-            measured, register = bell_measure(
+            outcome, register = bell_measure(
                 register, delivered.upper[k], restored[k], rng
             )
-            records.append(PairRecord(t, k, symbols[k], measured, False, sifted))
-        blocks.append(
-            BlockRecord(
-                t,
-                a_op.index,
-                b_op.index,
-                guess,
-                None if guess is None else guess == a_op.index,
-            )
-        )
-    return records, blocks, log
+            measured.append(outcome._value_)  # the Enum attribute, without the property call
+        prepared += [s._value_ for s in symbols]
+        eve_guess.append(-1 if guess is None else guess)
+    sifted = np.repeat(np.equal(alice_ops, bob_ops), size)
+    pairs = PairColumns(prepared, measured, np.zeros(len(measured), bool), sifted, size)
+    return pairs, BlockColumns(alice_ops, bob_ops, eve_guess), log
 
 
 def _checked_transcript(
     cfg: SessionConfig,
     rng: np.random.Generator,
-    records: list[PairRecord],
-    blocks: list[BlockRecord],
+    pairs: PairColumns,
+    blocks: BlockColumns,
     log: EveLog | None,
 ) -> SessionTranscript:
     """Run the eavesdropping check over the sifted pairs and seal the transcript.
@@ -322,20 +451,14 @@ def _checked_transcript(
     Every pair of a keyed session is sifted. A bootstrap session that sifted
     no block is rejected without a check.
     """
-    eligible = [i for i, r in enumerate(records) if r.sifted]
-    if eligible:
-        verdict, records = _check_records(
-            records, cfg.check_fraction, cfg.error_threshold, rng, eligible
+    eligible = np.flatnonzero(pairs.sifted)
+    if eligible.size:
+        verdict, pairs = _check_records(
+            pairs, cfg.check_fraction, cfg.error_threshold, rng, eligible
         )
     else:
         verdict = VerdictReport(False, 1.0, cfg.error_threshold, 0)
-    return SessionTranscript(
-        mode=cfg.mode,
-        records=tuple(records),
-        blocks=tuple(blocks),
-        verdict=verdict,
-        eve_log=log,
-    )
+    return SessionTranscript(cfg.mode, pairs, blocks, verdict, log)
 
 
 def run_keyed_session(cfg: SessionConfig) -> SessionTranscript:
@@ -366,8 +489,8 @@ def run_bootstrap_session(
     if cfg.mode != "bootstrap":
         raise ValueError("config mode is not 'bootstrap'")
     rng = np.random.default_rng(cfg.seed)
-    alice_ops = [int(v) for v in rng.integers(0, 4, size=cfg.n_blocks)]
-    bob_ops = [int(v) for v in rng.integers(0, 4, size=cfg.n_blocks)]
+    alice_ops = rng.integers(0, 4, size=cfg.n_blocks).tolist()
+    bob_ops = rng.integers(0, 4, size=cfg.n_blocks).tolist()
     transcript = _checked_transcript(cfg, rng, *_run_blocks(cfg, rng, alice_ops, bob_ops))
     if not transcript.accepted:
         return None, transcript

@@ -478,13 +478,20 @@ def apply_single_qubit(
 _PAULI_FLIPS = ((SIGMA_X, 2), (SIGMA_Y, 3), (SIGMA_Z, 1))
 
 
-def _flip_labels(register: LabelRegister, qubit: int, matrix: np.ndarray) -> LabelRegister:
+def _pauli_flip(matrix: np.ndarray) -> int:
+    """The label XOR of a Pauli gate: by identity first, as ``channel`` passes them."""
+    for pauli, flip in _PAULI_FLIPS:
+        if matrix is pauli:
+            return flip
     gate = np.asarray(matrix)
     for pauli, flip in _PAULI_FLIPS:
         if gate.shape == (2, 2) and (gate == pauli).all():
-            break
-    else:
-        raise ValueError("a label register takes only the Pauli gates X, Y and Z")
+            return flip
+    raise ValueError("a label register takes only the Pauli gates X, Y and Z")
+
+
+def _flip_labels(register: LabelRegister, qubit: int, matrix: np.ndarray) -> LabelRegister:
+    flip = _pauli_flip(matrix)
     if not 0 <= qubit < register.n_qubits:
         raise ValueError("qubit index out of range")
     label = list(register.label)

@@ -167,7 +167,7 @@ class ControlKey:
     def n_k(self) -> int:
         return len(self.bits) // 2
 
-    @property
+    @functools.cached_property
     def op_indices(self) -> tuple[int, ...]:
         return tuple(
             (self.bits[2 * i] << 1) | self.bits[2 * i + 1] for i in range(self.n_k)

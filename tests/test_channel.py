@@ -3,10 +3,20 @@
 import numpy as np
 import pytest
 
+from coreqkd import channel
 from coreqkd.adversary import EveStrategy
 from coreqkd.channel import TransitBlock, depolarize, transmit
 from coreqkd.protocol import ControlKey, SessionConfig, run_keyed_session
-from coreqkd.quantum import BellState, bell_measure, bell_state, tensor
+from coreqkd.quantum import (
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    BellState,
+    LabelRegister,
+    bell_measure,
+    bell_state,
+    tensor,
+)
 from coreqkd.rearrange import CoreOpSet
 
 
@@ -104,6 +114,27 @@ class TestDepolarizingNoise:
             rates.append(errors / transcript.n_pairs)
         assert rates[0] == 0.0
         assert all(a <= b for a, b in zip(rates, rates[1:]))
+
+    def test_each_hit_applies_one_of_the_pauli_objects_once(self, monkeypatch):
+        """The label engine recognises a Pauli by identity, so noise must pass the objects."""
+        applied = []
+
+        def spy(register, qubit, matrix):
+            applied.append(matrix)
+            return original(register, qubit, matrix)
+
+        original = channel.apply_single_qubit
+        monkeypatch.setattr(channel, "apply_single_qubit", spy)
+        p, qubits = 0.6, tuple(range(8))
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            replay = np.random.Generator(np.random.PCG64())
+            replay.bit_generator.state = rng.bit_generator.state
+            hits = int((replay.random(len(qubits)) < 0.75 * p).sum())
+            before = len(applied)
+            depolarize(LabelRegister([0, 1, 2, 3]), qubits, p, rng)
+            assert len(applied) - before == hits
+        assert applied and all(any(m is s for s in (SIGMA_X, SIGMA_Y, SIGMA_Z)) for m in applied)
 
     def test_rejects_bad_probability(self):
         rng = np.random.default_rng(7)

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coreqkd import cli
 from coreqkd.harness import (
     REPORT_COLUMNS,
     ConfigError,
@@ -216,7 +217,19 @@ PINNED_REPORTS = {
         "[eve]\nkind = bell_probe\na = 1 0 0\nb = 0 1 1\nbudget = 2\n",
         "5c706127b1052d690da319840e7f20bd72337d3964ff94ace92ac2ec87443cec",
     ),
+    # The benchmark's keyed-intercept job (perfbench/workloads.py) at seed 3.
+    "keyed_intercept": (
+        "[experiment]\nname = keyed-intercept\ntrials = 4\nseed = 3\n"
+        "[session]\nmode = keyed\nn_blocks = 1000\ncontrol_key = 00011011\n"
+        "check_fraction = 0.5\nerror_threshold = 1.0\n"
+        "[eve]\nkind = guess_core\n",
+        "3c4660b8e304b8ff1d1e094798292d05909a0b85c598b3a7ccd40ea756afab88",
+    ),
 }
+
+# Standard output of `coreqkd demo --blocks 3 --seed 7`, which prints every
+# pair and block record of one session in transcript order.
+PINNED_DEMO = "88d776294b4fd71898da02e9020242ce0461e5e1664a62f9a5d6d2c217ae8446"
 
 
 def report_digest(text: str) -> str:
@@ -229,6 +242,10 @@ class TestRngStreams:
     def test_report_bytes_are_pinned(self, name):
         text, digest = PINNED_REPORTS[name]
         assert report_digest(text) == digest
+
+    def test_demo_output_is_pinned(self, capsys):
+        assert cli.main(["demo", "--blocks", "3", "--seed", "7"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == PINNED_DEMO
 
 
 class TestSeeding:

@@ -1,6 +1,8 @@
 """Tests for the session state machines, checking and key extraction."""
 
 import itertools
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,10 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from coreqkd import protocol
+from coreqkd import harness, protocol
 from coreqkd.adversary import EveStrategy
 from coreqkd.protocol import (
     InsufficientSiftError,
+    PairColumns,
     PairRecord,
     RejectedTranscriptError,
     SessionConfig,
@@ -146,7 +149,7 @@ class TestKeyedSession:
 
 def check_all(pairs, check_fraction, threshold, rng):
     """The eavesdropping check over synthetic records, every pair eligible."""
-    records = list(synthetic_transcript(pairs).records)
+    records = synthetic_transcript(pairs).records
     return _check_records(records, check_fraction, threshold, rng, range(len(records)))
 
 
@@ -390,3 +393,134 @@ class TestLabelEngine:
             seen.clear()
             dense_session_result(cfg)
             assert set(seen) == {StateVector}
+
+
+def transcript_of(cfg: SessionConfig) -> SessionTranscript:
+    result = session_result(cfg)
+    assert not isinstance(result, str), result
+    return result[1] if cfg.mode == "bootstrap" else result
+
+
+def reference_stats(t: SessionTranscript) -> dict:
+    """Every derived statistic, computed record by record as the loops over objects did."""
+    records, blocks = tuple(t.records), tuple(t.blocks)
+    key_records = [r for r in records if r.sifted and not r.checked]
+
+    def agreement(flag):
+        pool = [r for r in records if r.sifted == flag]
+        return sum(1 for r in pool if r.measured == r.prepared) / len(pool) if pool else None
+
+    wrong = {b.index for b in blocks if b.eve_guess_correct is False}
+    pool = [r for r in records if r.block in wrong]
+    accuracy = None
+    if t.eve_log is not None and t.eve_log.symbols:
+        guessed = [r for r in records if blocks[r.block].eve_guess is not None]
+        assert len(guessed) == len(t.eve_log.symbols)
+        matched = 0
+        for r, value in zip(guessed, t.eve_log.symbols):
+            truth, got = r.prepared.key_bits, BellState(value).key_bits
+            matched += (truth[0] == got[0]) + (truth[1] == got[1])
+        accuracy = matched / (2 * len(guessed))
+    raw = tuple(b for r in key_records for b in r.measured.key_bits)
+    return {
+        "raw_key": raw,
+        "sender_raw_key": tuple(b for r in key_records for b in r.prepared.key_bits),
+        "agreement_sifted": agreement(True),
+        "agreement_discarded": agreement(False),
+        "sift_rate": sum(1 for b in blocks if b.sifted) / len(blocks),
+        "wrong_guess_error_rate": (
+            sum(1 for r in pool if r.measured != r.prepared) / len(pool) if pool else None
+        ),
+        "eve_bit_accuracy": accuracy,
+        "key_bits": float(len(raw)) if t.accepted else 0.0,
+        "checked": sum(1 for r in records if r.checked),
+    }
+
+
+def column_stats(t: SessionTranscript) -> dict:
+    return {
+        "raw_key": t.raw_key(),
+        "sender_raw_key": t.sender_raw_key(),
+        "agreement_sifted": t.agreement_rate(True),
+        "agreement_discarded": t.agreement_rate(False),
+        "sift_rate": t.sift_rate,
+        "wrong_guess_error_rate": t.wrong_guess_error_rate(),
+        "eve_bit_accuracy": t.eve_bit_accuracy(),
+        "key_bits": harness._trial_stats(t)["key_bits"],
+        "checked": t.verdict.checked_count,
+    }
+
+
+def same_values(a: dict, b: dict) -> bool:
+    """Equal values of equal Python types, so no numpy scalar reaches a report."""
+    return a == b and all(type(a[k]) is type(b[k]) for k in a)
+
+
+class TestColumnarTranscript:
+    """The columns and their record views against the records they stand for."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(cfg=sessions(), n_blocks=st.integers(1, 40))
+    def test_statistics_match_the_record_loops(self, cfg, n_blocks):
+        t = transcript_of(replace(cfg, n_blocks=n_blocks))
+        assert same_values(column_stats(t), reference_stats(t))
+        size = cfg.block_size
+        assert all(r.sifted == t.blocks[r.block].sifted for r in t.records)
+        assert [(r.block, r.slot) for r in t.records] == [divmod(i, size) for i in range(t.n_pairs)]
+        assert [b.index for b in t.blocks] == list(range(n_blocks))
+
+    @settings(max_examples=40, deadline=None)
+    @given(cfg=sessions())
+    def test_a_transcript_rebuilt_from_its_records_is_equal(self, cfg):
+        t = transcript_of(cfg)
+        rebuilt = SessionTranscript(t.mode, tuple(t.records), tuple(t.blocks), t.verdict, t.eve_log)
+        assert rebuilt == t
+        assert replace(t, records=tuple(t.records), blocks=list(t.blocks)) == t
+        assert same_values(column_stats(rebuilt), column_stats(t))
+
+    def test_views_slice_like_tuples_and_build_records_on_each_read(self):
+        cfg = SessionConfig(n_blocks=5, control_key=KEY_ALL_OPS, seed=31, eve=EveStrategy.guess_core())
+        t = run_keyed_session(cfg)
+        for view in (t.records, t.blocks):
+            items = tuple(view)
+            assert len(view) == len(items)
+            for index in (0, 3, -1, -len(items)):
+                assert view[index] == items[index]
+            for cut in (slice(None), slice(4, 8), slice(None, None, -1), slice(-3, None, 2), slice(9, 2, -3)):
+                assert view[cut] == items[cut]
+            with pytest.raises(IndexError):
+                view[len(items)]
+            assert view[0] is not view[0]
+        assert set(vars(t.records)) == {"prepared", "measured", "checked", "sifted", "block_size"}
+        assert set(vars(t.blocks)) == {"alice_op", "bob_op", "eve_guess"}
+        with pytest.raises(ValueError):
+            t.records.measured[0] = 0
+
+    def test_records_out_of_block_order_are_refused(self):
+        records = list(run_keyed_session(SessionConfig(n_blocks=2, control_key=KEY_ALL_OPS)).records)
+        records[1], records[2] = records[2], records[1]
+        with pytest.raises(ValueError, match="PairColumns"):
+            SessionTranscript("keyed", tuple(records), (), None)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 10_000),
+           fraction=st.floats(0.01, 0.99))
+    def test_an_array_pool_checks_the_same_pairs_as_a_list(self, seed, n, fraction):
+        data = np.random.default_rng(seed)
+        prepared = data.integers(0, 4, size=n)
+        measured = np.where(data.random(n) < 0.3, data.integers(0, 4, size=n), prepared)
+        pairs = PairColumns(prepared, measured, np.zeros(n, bool), np.ones(n, bool), 4)
+        pool = np.flatnonzero(data.random(n) < data.random())
+        if not pool.size:
+            pool = np.array([n - 1])
+        results = []
+        for eligible in (pool.tolist(), pool):
+            rng = np.random.default_rng(seed)
+            verdict, marked = _check_records(pairs, fraction, 0.1, rng, eligible)
+            results.append((verdict, marked.checked, rng.bit_generator.state))
+        (v_list, c_list, s_list), (v_array, c_array, s_array) = results
+        assert v_list == v_array
+        np.testing.assert_array_equal(c_list, c_array)
+        assert s_list == s_array
+        assert c_list.sum() == v_list.checked_count == math.ceil(fraction * pool.size)
+        assert set(np.flatnonzero(c_list)) <= set(pool.tolist())

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from coreqkd import quantum
 from coreqkd.quantum import (
     SIGMA_X,
     SIGMA_Y,
@@ -483,6 +484,17 @@ class TestLabelRegister:
         for gate in (hadamard, np.eye(2), np.eye(4)):
             with pytest.raises(ValueError, match="Pauli"):
                 apply_single_qubit(register, 0, gate)
+
+    def test_the_pauli_objects_are_recognised_without_a_comparison(self, monkeypatch):
+        class Uncomparable(np.ndarray):
+            def __array_ufunc__(self, *args, **kwargs):
+                raise AssertionError("compared by value")
+
+        flips = tuple((pauli.view(Uncomparable), flip) for pauli, flip in PAULI_FLIPS)
+        monkeypatch.setattr(quantum, "_PAULI_FLIPS", flips)
+        register = LabelRegister([1, 2])
+        for gate, flip in flips:
+            assert apply_single_qubit(register, 3, gate).label[2:] == (2 ^ flip,) * 2
 
     @settings(max_examples=60, deadline=None)
     @given(

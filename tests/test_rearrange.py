@@ -88,6 +88,10 @@ class TestControlKey:
         assert key.as_bit_string() == "00011011"
         assert ControlKey.from_bits("00011011").op_indices == (0, 1, 2, 3)
 
+    def test_op_indices_are_computed_once(self):
+        key = ControlKey.from_indices([3, 0, 2])
+        assert key.op_indices is key.op_indices == (3, 0, 2)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ControlKey((1,))
