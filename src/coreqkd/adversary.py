@@ -14,6 +14,7 @@ measurement, for the closed-form error checks.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -29,6 +30,7 @@ from .quantum import (
     StateVector,
     _from_front,
     _to_front,
+    absorb,
     bell_measure,
     bell_outcome_probabilities,
     bell_project,
@@ -145,6 +147,17 @@ def eve_guess_core_attack(
     return register, tuple(symbols)
 
 
+@functools.lru_cache(maxsize=64)
+def _probe_projectors(a: Direction, b: Direction) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only projectors onto the +1 and -1 eigenspaces of (sigma.a)(x)(sigma.b)."""
+    op = correlation_operator(a, b)
+    eye = np.eye(4, dtype=complex)
+    projectors = ((eye + op) / 2.0, (eye - op) / 2.0)
+    for proj in projectors:
+        proj.flags.writeable = False
+    return projectors
+
+
 def eve_bell_probe(
     register: StateVector,
     qubit_a: int,
@@ -157,12 +170,9 @@ def eve_bell_probe(
 
     Returns the sampled eigenvalue (+1 or -1) and the collapsed register.
     """
-    op = correlation_operator(a, b)
-    eye = np.eye(4, dtype=complex)
-    projectors = ((eye + op) / 2.0, (eye - op) / 2.0)
     duo = (qubit_a, qubit_b)
     moved = _to_front(register, duo)
-    branches = [proj @ moved for proj in projectors]
+    branches = [proj @ moved for proj in _probe_projectors(a, b)]
     probs = [float((np.abs(br) ** 2).sum()) for br in branches]
     k = sample_index(probs, rng)
     block = branches[k] / math.sqrt(probs[k])
@@ -200,14 +210,18 @@ def intercept(
             log.symbols.extend(s._value_ for s in symbols)
         return register, guess_index
     # bell_probe: interrogate slot-aligned duos, one per budget unit. The
-    # probe is not Clifford, so the block continues on the dense engine.
-    assert strategy.a is not None and strategy.b is not None
-    if isinstance(register, LabelRegister):
-        register = register.state()
+    # probe is not Clifford, so it runs densely on the core holding its duo.
+    a, b = strategy.a, strategy.b
+    assert a is not None and b is not None
     for slot in range(min(strategy.budget, len(upper))):
-        outcome, register = eve_bell_probe(
-            register, upper[slot], lower[slot], strategy.a, strategy.b, rng
-        )
+        duo = (upper[slot], lower[slot])
+        if isinstance(register, LabelRegister):
+            register = absorb(register, duo)
+            where = register.core_qubits.index
+            outcome, core = eve_bell_probe(register.core, where(duo[0]), where(duo[1]), a, b, rng)
+            register = register.with_core(core)
+        else:
+            outcome, register = eve_bell_probe(register, *duo, a, b, rng)
         if log is not None:
             log.probes.append(ProbeEntry(block_index, slot, outcome))
     return register, None

@@ -340,8 +340,19 @@ def alice_prepare_block(
 
     Pair k occupies qubits (2k, 2k+1): the upper-channel half first. The
     register is a ``LabelRegister``; its ``state()`` is the dense one.
+
+    The symbols are ``rng.integers(0, 4, size=block_size)``. For an even
+    block size they are read off ``block_size // 2`` raw 64-bit draws, low
+    32 bits first: numpy's Lemire method for range 4 maps a 32-bit draw u to
+    u >> 30 and never rejects. That is the same stream for a PCG64 generator
+    holding no buffered 32-bit half, as in every session: the ops of a
+    bootstrap session take an even number of halves.
     """
-    values = rng.integers(0, 4, size=block_size).tolist()
+    if block_size % 2:
+        values = rng.integers(0, 4, size=block_size).tolist()
+    else:
+        raws = rng.bit_generator.random_raw(block_size // 2).tolist()
+        values = [v for r in raws for v in ((r >> 30) & 3, r >> 62)]
     return [BELL_STATES[v] for v in values], LabelRegister(values)
 
 

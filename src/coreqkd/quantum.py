@@ -6,14 +6,15 @@ matrices, the two-spin correlation observable along arbitrary measurement
 directions, Bell-basis projective measurement on a chosen qubit pair with
 Born-rule sampling, and single-qubit gates. Every operation on a subset of
 qubits goes through one kernel that brings those qubits to the front of the
-amplitude array and back. It serves every non-Clifford step and every
-direct caller.
+amplitude array and back. It serves every direct caller, holds the core of
+a ``LabelRegister`` and is the oracle the label rules are tested against.
 
-``LabelRegister`` is the Clifford engine. A block of Bell pairs that is
-only reordered, Bell-measured and hit by Pauli gates stays a perfect
-matching of its qubits into Bell pairs (Gottesman-Knill), so the register
-is a partner table plus one 2-bit ``BellState.value`` label per pair.
-``bell_measure`` and ``apply_single_qubit`` branch on the register's type:
+``LabelRegister`` is the Clifford engine with a dense core. A block of
+Bell pairs that is only reordered, Bell-measured and hit by Pauli gates
+stays a perfect matching of its qubits into Bell pairs (Gottesman-Knill),
+so the register is a partner table plus one 2-bit ``BellState.value`` label
+per pair. ``bell_measure`` and ``apply_single_qubit`` branch on the
+register's type:
 
 * a Bell measurement on a genuine pair returns its label;
 * on halves of two different pairs, labelled P and Q, it returns R with
@@ -22,14 +23,26 @@ is a partner table plus one 2-bit ``BellState.value`` label per pair.
   qubit order: a Bell state is symmetric under a swap up to a sign);
 * X, Y and Z XOR the label of the hit pair with 2, 3 and 1.
 
+A step that is not Clifford, such as the correlation probe, runs on the
+register's optional core: one ``StateVector`` over just the pairs such
+steps have touched. ``absorb`` moves the pairs of the qubits a step acts
+on into the core, as the ``tensor`` of the core and their Bell states.
+A Bell measurement with a qubit in the core absorbs the pair of the other
+qubit and measures on the core; the measured duo then *splits* back out as
+a pair labelled with the outcome k, and the core becomes
+``coeffs[k] / sqrt(p_k)`` over its other qubits (no core once it is
+empty). Any gate on a core qubit acts on the core. Steps on qubits outside
+the core follow the label rules, and other gates on them raise.
+
 Both engines make the same ``rng`` call for the same step: one
 ``rng.random()`` per Bell measurement, drawn through ``sample_index`` over
 the outcome probabilities. So a session gives the same outcomes on either
 engine, with one caveat: dense probabilities of uniform branches are
-0.25 +- 1 ulp, not exactly 0.25, so the engines could disagree only on a
-draw within about 1e-16 of 0.25, 0.5 or 0.75. ``LabelRegister.state()``
-returns the dense register, which for a freshly prepared block equals the
-``tensor`` of its Bell states bit for bit.
+0.25 +- 1 ulp, not exactly 0.25, and the core's probabilities equal the
+full register's only up to rounding, so the engines could disagree only on
+a draw within about 1e-16 of a branch boundary. ``LabelRegister.state()``
+absorbs every pair and returns the dense register, which for a freshly
+prepared block equals the ``tensor`` of its Bell states bit for bit.
 
 Conventions used throughout the package:
 
@@ -46,6 +59,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -154,7 +168,7 @@ class StateVector:
             raise ValueError(
                 f"amplitude count {arr.size} is not 2**n for n in 1..{MAX_QUBITS}"
             )
-        norm = float(np.linalg.norm(arr))
+        norm = math.sqrt(np.vdot(arr, arr).real)
         if abs(norm - 1.0) > ATOL_NORM:
             raise ValueError(f"state vector norm {norm!r} is not 1")
         arr.setflags(write=False)
@@ -179,22 +193,27 @@ class StateVector:
 
 
 class LabelRegister:
-    """A register of 2..8 qubits that is a perfect matching into Bell pairs.
+    """A register of 2..8 qubits: Bell pairs with 2-bit labels plus an optional dense core.
 
     ``partner[q]`` is the qubit paired with q and ``label[q]`` the pair's
-    ``BellState.value``, stored at both ends. ``LabelRegister(labels)``
-    prepares pair k on qubits (2k, 2k+1) in the Bell state of value
-    labels[k]. Instances are immutable; a measurement or a Pauli gate
-    returns a new register (see the module docstring for the rules).
+    ``BellState.value``, stored at both ends. ``core`` is a ``StateVector``
+    over the qubits ``core_qubits`` (its qubit c is register qubit
+    ``core_qubits[c]``), or None; a core qubit has partner and label -1.
+    ``LabelRegister(labels)`` prepares pair k on qubits (2k, 2k+1) in the
+    Bell state of value labels[k], with no core. Instances are immutable; a
+    measurement or a gate returns a new register (see the module docstring
+    for the rules).
     """
 
-    __slots__ = ("partner", "label")
+    __slots__ = ("partner", "label", "core", "core_qubits")
 
     def __init__(self, labels: Sequence[int]):
         if not 1 <= len(labels) <= MAX_QUBITS // 2 or not _LABEL_VALUES.issuperset(labels):
             raise ValueError(f"need 1..{MAX_QUBITS // 2} BellState values, got {labels!r}")
         _set(self, "partner", _PREPARED_PARTNERS[len(labels)])
         _set(self, "label", tuple([v for v in labels for _ in (0, 1)]))
+        _set(self, "core", None)
+        _set(self, "core_qubits", ())
 
     @property
     def n_qubits(self) -> int:
@@ -208,24 +227,32 @@ class LabelRegister:
             isinstance(other, LabelRegister)
             and self.partner == other.partner
             and self.label == other.label
+            and self.core_qubits == other.core_qubits
+            and self.core == other.core
         )
 
     def __repr__(self) -> str:
-        return f"LabelRegister(partner={self.partner}, label={self.label})"
+        return (
+            f"LabelRegister(partner={self.partner}, label={self.label}, "
+            f"core_qubits={self.core_qubits})"
+        )
+
+    def with_core(self, core: StateVector) -> "LabelRegister":
+        """The same register with its core, over the same qubits, replaced."""
+        if self.core is None or core.n_qubits != self.core.n_qubits:
+            raise ValueError("the new core must cover the same qubits as the old one")
+        return _labels(self.partner, self.label, core, self.core_qubits)
 
     def state(self) -> StateVector:
-        """The dense register: the tensor of the pairs, each lower qubit first.
+        """The dense register: every pair absorbed into the core, then put in qubit order.
 
-        For the matching (2k, 2k+1) this is ``tensor`` of the pairs' Bell
-        states bit for bit; otherwise the same up to a global sign.
+        With no core and the matching (2k, 2k+1) this is ``tensor`` of the
+        pairs' Bell states bit for bit; otherwise the same up to a global phase.
         """
-        pairs = [(q, p) for q, p in enumerate(self.partner) if q < p]
-        dense = tensor(*(bell_state(BELL_STATES[self.label[q]]) for q, _ in pairs))
-        order = tuple(q for pair in pairs for q in pair)
-        if order == tuple(range(self.n_qubits)):
-            return dense
-        moved = np.moveaxis(dense.amps.reshape([2] * self.n_qubits), range(self.n_qubits), order)
-        return StateVector(moved.reshape(-1))
+        full = absorb(self, range(self.n_qubits))
+        if full.core_qubits == tuple(range(self.n_qubits)):
+            return full.core
+        return _from_front(full.core.amps, self.n_qubits, full.core_qubits)
 
 
 _LABEL_VALUES = frozenset(range(4))
@@ -234,16 +261,48 @@ _PREPARED_PARTNERS = {k: tuple(q ^ 1 for q in range(2 * k)) for k in range(1, MA
 _set = object.__setattr__
 
 
-def _labels(partner: tuple[int, ...], label: tuple[int, ...]) -> LabelRegister:
+def _labels(
+    partner: tuple[int, ...],
+    label: tuple[int, ...],
+    core: StateVector | None = None,
+    core_qubits: tuple[int, ...] = (),
+) -> LabelRegister:
     """A LabelRegister from tables the caller has already made consistent."""
     register = object.__new__(LabelRegister)
     _set(register, "partner", partner)
     _set(register, "label", label)
+    _set(register, "core", core)
+    _set(register, "core_qubits", core_qubits)
     return register
 
 
+def absorb(register: LabelRegister, qubits: Sequence[int]) -> LabelRegister:
+    """The register with the pairs of the listed qubits moved into its core.
+
+    The new core is the ``tensor`` of the old core (if any) and the absorbed
+    pairs' Bell states, pairs in order of their lower qubit, lower qubit
+    first. Qubits already in the core are left where they are.
+    """
+    partner, label = register.partner, register.label
+    if not all(0 <= q < len(partner) for q in qubits):
+        raise ValueError("qubit index out of range")
+    lows = sorted({min(q, partner[q]) for q in qubits if partner[q] >= 0})
+    if not lows:
+        return register
+    absorbed = tuple(q for low in lows for q in (low, partner[low]))
+    new_partner, new_label = list(partner), list(label)
+    for q in absorbed:
+        new_partner[q] = new_label[q] = -1
+    states = [bell_state(BELL_STATES[label[q]]) for q in lows]
+    if register.core is not None:
+        states.insert(0, register.core)
+    core_qubits = register.core_qubits + absorbed
+    return _labels(tuple(new_partner), tuple(new_label), tensor(*states), core_qubits)
+
+
+@functools.cache
 def bell_state(symbol: BellState) -> StateVector:
-    """The 2-qubit state vector of the given Bell state."""
+    """The 2-qubit state vector of the given Bell state (one shared immutable value each)."""
     return StateVector(_BELL_MATRIX[symbol.value])
 
 
@@ -265,7 +324,7 @@ def tensor(*states: StateVector) -> StateVector:
         raise ValueError(f"register of {total} qubits exceeds the cap of {MAX_QUBITS}")
     amps = states[0].amps
     for s in states[1:]:
-        amps = np.kron(amps, s.amps)
+        amps = np.multiply.outer(amps, s.amps).ravel()
     return StateVector(amps)
 
 
@@ -368,22 +427,31 @@ def sample_index(probs: Sequence[float], rng: np.random.Generator) -> int:
     return last
 
 
-def _to_front(register: StateVector, qubits: tuple[int, ...]) -> np.ndarray:
-    """Amplitudes as a (2**k, rest) array with the k listed qubits leading."""
-    n = register.n_qubits
+@functools.lru_cache(maxsize=1024)
+def _axis_orders(n: int, qubits: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The axis order that brings the listed qubits of an n-qubit tensor to the front, and back."""
     if len(set(qubits)) != len(qubits):
         raise ValueError("qubits must be distinct")
     if not all(0 <= q < n for q in qubits):
         raise ValueError("qubit index out of range")
-    k = len(qubits)
-    moved = np.moveaxis(register.amps.reshape([2] * n), qubits, tuple(range(k)))
-    return moved.reshape(1 << k, -1)
+    order = (*qubits, *(q for q in range(n) if q not in qubits))
+    inverse = [0] * n
+    for axis, q in enumerate(order):
+        inverse[q] = axis
+    return order, tuple(inverse)
+
+
+def _to_front(register: StateVector, qubits: tuple[int, ...]) -> np.ndarray:
+    """Amplitudes as a (2**k, rest) array with the k listed qubits leading."""
+    n = register.n_qubits
+    order, _ = _axis_orders(n, qubits)
+    return register.amps.reshape((2,) * n).transpose(order).reshape(1 << len(qubits), -1)
 
 
 def _from_front(block: np.ndarray, n: int, qubits: tuple[int, ...]) -> StateVector:
     """Inverse of ``_to_front``: the n-qubit register of a (2**k, rest) array."""
-    moved = block.reshape([2] * n)
-    return StateVector(np.moveaxis(moved, tuple(range(len(qubits))), qubits).reshape(-1))
+    _, inverse = _axis_orders(n, qubits)
+    return StateVector(block.reshape((2,) * n).transpose(inverse).reshape(-1))
 
 
 def _bell_coefficients(register: StateVector, qubit_i: int, qubit_j: int) -> np.ndarray:
@@ -443,13 +511,14 @@ def _measure_labels(
     n = len(partner)
     if qubit_i == qubit_j or not (0 <= qubit_i < n and 0 <= qubit_j < n):
         raise ValueError("qubits must be distinct and in range")
-    mate_i = partner[qubit_i]
+    mate_i, mate_j = partner[qubit_i], partner[qubit_j]
+    if mate_i < 0 or mate_j < 0:
+        return _measure_core(register, qubit_i, qubit_j, rng)
     if mate_i == qubit_j:
         rng.random()  # the draw sample_index makes on the dense engine, outcome certain
         return BELL_STATES[label[qubit_i]], register
     # sample_index over four branches of 1/4: 4u is exact, so this is the same branch.
     k = int(4.0 * rng.random())
-    mate_j = partner[qubit_j]
     swapped = label[qubit_i] ^ label[qubit_j] ^ k
     new_partner = list(partner)
     new_label = list(label)
@@ -457,7 +526,30 @@ def _measure_labels(
     new_partner[mate_i], new_partner[mate_j] = mate_j, mate_i
     new_label[qubit_i] = new_label[qubit_j] = k
     new_label[mate_i] = new_label[mate_j] = swapped
-    return BELL_STATES[k], _labels(tuple(new_partner), tuple(new_label))
+    register = _labels(tuple(new_partner), tuple(new_label), register.core, register.core_qubits)
+    return BELL_STATES[k], register
+
+
+def _measure_core(
+    register: LabelRegister, qubit_i: int, qubit_j: int, rng: np.random.Generator
+) -> tuple[BellState, LabelRegister]:
+    """A Bell measurement that touches the core: absorb, measure densely, split the duo out.
+
+    The core factors as Bell state k on the measured duo times
+    ``coeffs[k] / sqrt(p_k)`` on its other qubits, which stay the core.
+    """
+    register = absorb(register, (qubit_i, qubit_j))
+    core_qubits = register.core_qubits
+    ci, cj = core_qubits.index(qubit_i), core_qubits.index(qubit_j)
+    coeffs = _bell_coefficients(register.core, ci, cj)
+    probs = (np.abs(coeffs) ** 2).sum(axis=1).tolist()
+    k = sample_index(probs, rng)
+    rest = tuple(q for q in core_qubits if q != qubit_i and q != qubit_j)
+    core = StateVector(coeffs[k] / math.sqrt(probs[k])) if rest else None
+    partner, label = list(register.partner), list(register.label)
+    partner[qubit_i], partner[qubit_j] = qubit_j, qubit_i
+    label[qubit_i] = label[qubit_j] = k
+    return BELL_STATES[k], _labels(tuple(partner), tuple(label), core, rest)
 
 
 def apply_single_qubit(
@@ -465,11 +557,17 @@ def apply_single_qubit(
 ) -> StateVector | LabelRegister:
     """Apply a 2x2 unitary to one qubit of the register.
 
-    A ``LabelRegister`` takes only the Paulis X, Y and Z and raises
-    ``ValueError`` on any other gate.
+    On a ``LabelRegister`` any gate acts on a core qubit densely; a qubit of a
+    labelled pair takes only the Paulis X, Y and Z, and any other gate raises
+    ``ValueError``.
     """
     if isinstance(register, LabelRegister):
-        return _flip_labels(register, qubit, matrix)
+        if not 0 <= qubit < register.n_qubits:
+            raise ValueError("qubit index out of range")
+        if register.partner[qubit] >= 0:
+            return _flip_labels(register, qubit, matrix)
+        core = apply_single_qubit(register.core, register.core_qubits.index(qubit), matrix)
+        return register.with_core(core)
     out = np.asarray(matrix, dtype=complex) @ _to_front(register, (qubit,))
     return _from_front(out, register.n_qubits, (qubit,))
 
@@ -492,9 +590,7 @@ def _pauli_flip(matrix: np.ndarray) -> int:
 
 def _flip_labels(register: LabelRegister, qubit: int, matrix: np.ndarray) -> LabelRegister:
     flip = _pauli_flip(matrix)
-    if not 0 <= qubit < register.n_qubits:
-        raise ValueError("qubit index out of range")
     label = list(register.label)
     label[qubit] ^= flip
     label[register.partner[qubit]] ^= flip
-    return _labels(register.partner, tuple(label))
+    return _labels(register.partner, tuple(label), register.core, register.core_qubits)

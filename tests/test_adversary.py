@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from coreqkd import adversary
 from coreqkd.adversary import (
     EveStrategy,
     attack_ensemble_register_density,
@@ -16,8 +17,10 @@ from coreqkd.protocol import ControlKey, SessionConfig, run_keyed_session
 from coreqkd.quantum import (
     BellState,
     Direction,
+    LabelRegister,
     Z_DIR,
     bell_state,
+    correlation_operator,
     expectation,
     partial_trace_register,
     random_direction,
@@ -195,3 +198,29 @@ class TestBellProbe:
         assert transcript.eve_log is not None
         assert len(transcript.eve_log.probes) == 50
         assert transcript.eve_log.probe_mean is not None
+
+    def test_probe_projectors_are_built_once_per_direction_pair_and_read_only(self):
+        a, b = Direction.normalized(1, 2, 3), Direction.normalized(0, -1, 1)
+        projectors = adversary._probe_projectors(a, b)
+        assert adversary._probe_projectors(Direction(a.x, a.y, a.z), b) is projectors
+        op = correlation_operator(a, b)
+        np.testing.assert_array_equal(projectors[0], (np.eye(4) + op) / 2.0)
+        np.testing.assert_array_equal(projectors[1], (np.eye(4) - op) / 2.0)
+        with pytest.raises(ValueError):
+            projectors[0][0, 0] = 0.0
+
+    def test_probe_sessions_never_build_the_dense_register(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("LabelRegister.state() called")
+
+        monkeypatch.setattr(LabelRegister, "state", refuse)
+        for budget in (1, 4):
+            cfg = SessionConfig(
+                n_blocks=40,
+                control_key=ControlKey.from_indices([0, 1, 2, 3]),
+                seed=28,
+                error_threshold=1.0,
+                noise=0.1,
+                eve=EveStrategy.bell_probe(budget=budget),
+            )
+            assert len(run_keyed_session(cfg).eve_log.probes) == 40 * budget

@@ -217,6 +217,14 @@ PINNED_REPORTS = {
         "[eve]\nkind = bell_probe\na = 1 0 0\nb = 0 1 1\nbudget = 2\n",
         "5c706127b1052d690da319840e7f20bd72337d3964ff94ace92ac2ec87443cec",
     ),
+    # Probes of up to three duos per block under noise, on bootstrap blocks whose
+    # ops mostly differ: the dense core absorbs mismatched pairs and takes Paulis.
+    "bootstrap_bell_probe": (
+        "[experiment]\nname = pin-probe-bootstrap\ntrials = 2\nseed = 31\n"
+        "[session]\nmode = bootstrap\nn_blocks = 64\nerror_threshold = 1.0\nnoise = 0.1\n"
+        "[eve]\nkind = bell_probe\na = 0 0 1\nb = 1 1 0\nbudget = 3\n",
+        "9a1cb8c38da800d4c5c8b22f40bd3bcf840dc527b3da185fbc4e89cee7fac189",
+    ),
     # The benchmark's keyed-intercept job (perfbench/workloads.py) at seed 3.
     "keyed_intercept": (
         "[experiment]\nname = keyed-intercept\ntrials = 4\nseed = 3\n"
@@ -230,6 +238,9 @@ PINNED_REPORTS = {
 # Standard output of `coreqkd demo --blocks 3 --seed 7`, which prints every
 # pair and block record of one session in transcript order.
 PINNED_DEMO = "88d776294b4fd71898da02e9020242ce0461e5e1664a62f9a5d6d2c217ae8446"
+
+# Standard output of `coreqkd run paper-table --seed 99`, the headline csv.
+PINNED_PAPER_TABLE = "212f768a59b69823c1cf8be2f0f23fc0eee13bb0ba5c96d0d766d69a5a7a2e62"
 
 
 def report_digest(text: str) -> str:
@@ -246,6 +257,10 @@ class TestRngStreams:
     def test_demo_output_is_pinned(self, capsys):
         assert cli.main(["demo", "--blocks", "3", "--seed", "7"]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == PINNED_DEMO
+
+    def test_paper_table_output_is_pinned(self, capsys):
+        assert cli.main(["run", "paper-table", "--seed", "99"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == PINNED_PAPER_TABLE
 
 
 class TestSeeding:

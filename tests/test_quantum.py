@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from coreqkd import quantum
+from coreqkd.adversary import EveLog, EveStrategy, intercept
 from coreqkd.quantum import (
     SIGMA_X,
     SIGMA_Y,
@@ -21,6 +22,7 @@ from coreqkd.quantum import (
     _BELL_MATRIX,
     _from_front,
     _to_front,
+    absorb,
     apply_single_qubit,
     bell_measure,
     bell_outcome_probabilities,
@@ -37,6 +39,7 @@ from coreqkd.quantum import (
     sample_index,
     tensor,
 )
+from coreqkd.rearrange import CoreOpSet
 
 SQ = 1.0 / np.sqrt(2.0)
 
@@ -388,6 +391,26 @@ class TestAxisKernel:
             np.testing.assert_allclose(projected.amps, branch / np.sqrt(prob), atol=1e-12)
 
 
+    @settings(max_examples=5, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_tensor_is_kron_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        states = [random_register(rng, n) for n in (1, 2, 3, 2)]
+        expected = states[0].amps
+        for s in states[1:]:
+            expected = np.kron(expected, s.amps)
+        assert np.array_equal(tensor(*states).amps, expected)
+
+    def test_rejects_repeated_or_out_of_range_qubits_after_valid_ones(self):
+        register = random_register(np.random.default_rng(5), 3)
+        bell_outcome_probabilities(register, 0, 2)
+        for duo in ((0, 0), (2, 2), (0, 3), (-1, 1)):
+            with pytest.raises(ValueError):
+                bell_outcome_probabilities(register, *duo)
+        with pytest.raises(ValueError):
+            apply_single_qubit(register, 3, SIGMA_X)
+
+
 class TestPauliAlong:
     def test_unit_directions_recover_the_axes(self):
         np.testing.assert_allclose(pauli_along(Z_DIR), np.diag([1, -1]), atol=1e-15)
@@ -538,3 +561,148 @@ class TestLabelRegister:
         for i, j in ((1, 1), (0, 4), (-1, 2)):
             with pytest.raises(ValueError):
                 bell_measure(register, i, j, np.random.default_rng(0))
+
+
+OPS = CoreOpSet.cyclic()
+
+
+def random_gate(seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    gate, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    return gate
+
+
+def probe(register, qubit_a, qubit_b, seed, rng):
+    """One correlation probe on the duo through ``adversary.intercept``: outcome and register."""
+    dirs = np.random.default_rng(seed).normal(size=(2, 3))
+    eve = EveStrategy.bell_probe(Direction.normalized(*dirs[0]), Direction.normalized(*dirs[1]))
+    log = EveLog()
+    register, _ = intercept(eve, register, (qubit_a,), (qubit_b,), 0, OPS, rng, log)
+    return log.probes[0].outcome, register
+
+
+def assert_core_matches(register: LabelRegister, dense: StateVector) -> None:
+    """The state, and every Bell distribution on a duo of the core, against the dense engine."""
+    assert same_up_to_phase(register.state(), dense)
+    core_qubits = register.core_qubits
+    assert (register.core is None) == (core_qubits == ())
+    for q in range(register.n_qubits):
+        assert (q in core_qubits) == (register.partner[q] < 0 and register.label[q] < 0)
+    if register.core is None:
+        return
+    assert register.core.n_qubits == len(core_qubits)
+    for (ci, qi), (cj, qj) in itertools.permutations(enumerate(core_qubits), 2):
+        np.testing.assert_allclose(
+            bell_outcome_probabilities(register.core, ci, cj),
+            bell_outcome_probabilities(dense, qi, qj),
+            rtol=0,
+            atol=1e-12,
+        )
+
+
+class TestLabelCore:
+    """Labels plus a dense core against the dense engine on ``state()``, which is their oracle."""
+
+    def test_absorbing_tensors_the_pairs_onto_the_core(self):
+        register = LabelRegister([1, 2, 3, 0])
+        bell = [bell_state(BellState(v)) for v in (1, 2, 3, 0)]
+        first = absorb(register, (4, 1))
+        assert first.core_qubits == (0, 1, 4, 5)
+        assert first.core == tensor(bell[0], bell[2])
+        assert first.partner == (-1, -1, 3, 2, -1, -1, 7, 6)
+        assert first.label == (-1, -1, 2, 2, -1, -1, 0, 0)
+        second = absorb(first, (5, 3, 0))
+        assert second.core_qubits == (0, 1, 4, 5, 2, 3)
+        assert second.core == tensor(first.core, bell[1])
+        assert absorb(second, (0, 4, 5)) is second
+        for after in (first, second):
+            np.testing.assert_allclose(
+                after.state().amps, register.state().amps, rtol=0, atol=1e-15
+            )
+        with pytest.raises(ValueError):
+            absorb(register, (8,))
+
+    def test_a_measurement_on_the_core_splits_the_duo_out(self):
+        rng = np.random.default_rng(8)
+        _, register = probe(LabelRegister([0, 3, 1, 2]), 0, 3, 4, rng)
+        assert register.core_qubits == (0, 1, 2, 3)
+        dense = register.state()
+        probs = bell_outcome_probabilities(dense, 1, 2)
+        for k in np.flatnonzero(probs > 1e-12):
+            u = float(sum(probs[:k]) + probs[k] / 2)
+            outcome, after = bell_measure(register, 1, 2, FixedDraw(u))
+            assert outcome is BellState(int(k))
+            assert after.core_qubits == (0, 3) and after.core.n_qubits == 2
+            assert after.partner[1:3] == (2, 1) and after.label[1:3] == (k, k)
+            prob, collapsed = bell_project(dense, 1, 2, outcome)
+            assert prob == pytest.approx(probs[k], abs=1e-12)
+            assert_core_matches(after, collapsed)
+            last, emptied = bell_measure(after, 0, 3, FixedDraw(0.5))
+            assert emptied.core is None and emptied.core_qubits == ()
+            assert emptied.label[0] == emptied.label[3] == last.value
+
+    def test_a_measurement_across_the_core_absorbs_the_other_pair(self):
+        rng = np.random.default_rng(9)
+        _, register = probe(LabelRegister([2, 2, 1]), 0, 1, 5, rng)
+        assert register.core_qubits == (0, 1)
+        outcome, after = bell_measure(register, 1, 4, FixedDraw(0.3))
+        prob, collapsed = bell_project(register.state(), 1, 4, outcome)
+        assert prob > 0 and after.core_qubits == (0, 5)
+        assert after.partner[1] == 4 and after.label[1] == outcome.value
+        assert_core_matches(after, collapsed)
+
+    def test_any_gate_acts_on_a_core_qubit_and_only_paulis_on_a_pair(self):
+        _, register = probe(LabelRegister([1, 2]), 0, 2, 6, np.random.default_rng(10))
+        hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+        for qubit in register.core_qubits:
+            after = apply_single_qubit(register, qubit, hadamard)
+            assert after.core_qubits == register.core_qubits
+            assert_core_matches(after, apply_single_qubit(register.state(), qubit, hadamard))
+        _, with_pair = probe(LabelRegister([1, 2]), 0, 1, 6, np.random.default_rng(10))
+        assert with_pair.core_qubits == (0, 1)
+        assert apply_single_qubit(with_pair, 2, SIGMA_Y).label[2:] == (1, 1)
+        with pytest.raises(ValueError, match="Pauli"):
+            apply_single_qubit(with_pair, 2, hadamard)
+        with pytest.raises(ValueError):
+            with_pair.with_core(StateVector(np.eye(8)[0]))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        labels=st.lists(st.integers(0, 3), min_size=4, max_size=4),
+        first=st.tuples(st.integers(0, 7), st.integers(0, 7)).filter(lambda d: d[0] != d[1]),
+        steps=st.lists(
+            st.tuples(
+                st.sampled_from(["absorb", "measure", "pauli", "gate", "probe"]),
+                st.integers(0, 7),
+                st.integers(0, 7),
+                st.integers(0, 2**16),
+            ).filter(lambda step: step[1] != step[2]),
+            max_size=14,
+        ),
+    )
+    def test_step_sequences_track_the_dense_engine(self, seed, labels, first, steps):
+        """Equal outcomes, RNG states, states up to phase and core distributions, step by step."""
+        rng_labels, rng_dense = np.random.default_rng(seed), np.random.default_rng(seed)
+        register = LabelRegister(labels)
+        dense = register.state()
+        steps = [("probe", *first, seed % 2**16), *steps]
+        for kind, a, b, extra in steps:
+            if kind == "absorb":
+                register = absorb(register, (a, b))
+            elif kind == "measure":
+                outcome, register = bell_measure(register, a, b, rng_labels)
+                expected, dense = bell_measure(dense, a, b, rng_dense)
+                assert outcome is expected
+            elif kind == "probe":
+                outcome, register = probe(register, a, b, extra, rng_labels)
+                expected, dense = probe(dense, a, b, extra, rng_dense)
+                assert outcome == expected
+            else:
+                gate = PAULI_FLIPS[extra % 3][0]
+                if kind == "gate" and a in register.core_qubits:
+                    gate = random_gate(extra)
+                register = apply_single_qubit(register, a, gate)
+                dense = apply_single_qubit(dense, a, gate)
+            assert rng_labels.bit_generator.state == rng_dense.bit_generator.state
+            assert_core_matches(register, dense)
