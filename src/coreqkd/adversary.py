@@ -10,6 +10,12 @@ classical channel.
 ``exact_guess_attack_pair_distributions`` reproduces the attack with exact
 Born probabilities (no sampling) by enumerating every branch of Eve's
 measurement, for the closed-form error checks.
+
+``probe_tables`` holds the exact outcome probabilities of a keyed block
+probed on one duo: the probe's two branches and Bob's Bell outcomes on the
+probed pairs, computed once per direction pair on the dense core. A keyed
+session with a one-duo probe samples from them instead of running
+``eve_bell_probe`` block by block.
 """
 
 from __future__ import annotations
@@ -22,12 +28,15 @@ from typing import Sequence
 import numpy as np
 
 from .quantum import (
+    _PROB_FLOOR,
+    BELL_STATES,
     X_DIR,
     Z_DIR,
     BellState,
     Direction,
     LabelRegister,
     StateVector,
+    _bell_coefficients,
     _from_front,
     _to_front,
     absorb,
@@ -171,12 +180,73 @@ def eve_bell_probe(
     Returns the sampled eigenvalue (+1 or -1) and the collapsed register.
     """
     duo = (qubit_a, qubit_b)
+    branches, probs = _probe_branches(register, duo, a, b)
+    k = sample_index(probs, rng)
+    return (1 if k == 0 else -1), _probe_collapse(register, duo, branches[k], probs[k])
+
+
+def _probe_branches(
+    register: StateVector, duo: tuple[int, int], a: Direction, b: Direction
+) -> tuple[list[np.ndarray], list[float]]:
+    """The probe's unnormalised +1 and -1 branches (duo leading) and their Born probabilities."""
     moved = _to_front(register, duo)
     branches = [proj @ moved for proj in _probe_projectors(a, b)]
-    probs = [float((np.abs(br) ** 2).sum()) for br in branches]
-    k = sample_index(probs, rng)
-    block = branches[k] / math.sqrt(probs[k])
-    return (1 if k == 0 else -1), _from_front(block, register.n_qubits, duo)
+    return branches, [float((np.abs(br) ** 2).sum()) for br in branches]
+
+
+def _probe_collapse(
+    register: StateVector, duo: tuple[int, int], branch: np.ndarray, prob: float
+) -> StateVector:
+    return _from_front(branch / math.sqrt(prob), register.n_qubits, duo)
+
+
+# Rows of ``probe_tables``: a keyed block probed on its first duo holds a
+# dense core of the probed pairs only. Under an op with perm[0] == 0 the duo
+# is pair 0 itself (row L0); otherwise it is the upper half of pair 0 and the
+# lower half of pair j = perm[0], whose core is pairs 0 and j on the qubits
+# (0, 1, 2j, 2j+1), probed on core positions (0, 3) (row 4 + 4*L0 + Lj).
+PROBE_TABLE_ROWS = 20
+
+
+@functools.lru_cache(maxsize=64)
+def probe_tables(a: Direction, b: Direction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact outcome tables of a block probed once along (a, b), by core row.
+
+    Returns three read-only arrays, computed on the dense core as
+    ``eve_bell_probe`` and Bob's measurements of the core compute them:
+
+    * ``probe[row, kp]``: probability of the +1 (kp 0) and -1 (kp 1) outcome;
+    * ``first[kp, row, r]``: Bob's Bell probabilities on pair 0 after outcome kp;
+    * ``second[kp, row, r, s]``: his Bell probabilities on pair j after pair 0
+      gave r (rows of two pairs only).
+
+    Branches at or below the sampling floor are never drawn and stay 0.
+    """
+    probe = np.zeros((PROBE_TABLE_ROWS, 2))
+    first = np.zeros((2, PROBE_TABLE_ROWS, 4))
+    second = np.zeros((2, PROBE_TABLE_ROWS, 4, 4))
+    for row in range(PROBE_TABLE_ROWS):
+        if row < 4:
+            core, duo = bell_state(BELL_STATES[row]), (0, 1)
+        else:
+            l0, lj = divmod(row - 4, 4)
+            core, duo = tensor(bell_state(BELL_STATES[l0]), bell_state(BELL_STATES[lj])), (0, 3)
+        branches, probs = _probe_branches(core, duo, a, b)
+        probe[row] = probs
+        for kp, (branch, p) in enumerate(zip(branches, probs)):
+            if p <= _PROB_FLOOR:
+                continue
+            coeffs = _bell_coefficients(_probe_collapse(core, duo, branch, p), 0, 1)
+            first[kp, row] = marginal = (np.abs(coeffs) ** 2).sum(axis=1)
+            if row < 4:
+                continue
+            for r, q in enumerate(marginal.tolist()):
+                if q > _PROB_FLOOR:
+                    rest = StateVector(coeffs[r] / math.sqrt(q))
+                    second[kp, row, r] = bell_outcome_probabilities(rest, 0, 1)
+    for table in (probe, first, second):
+        table.flags.writeable = False
+    return probe, first, second
 
 
 def intercept(

@@ -20,6 +20,29 @@ derived statistics are array reductions over these columns. Both column
 sets are also sequences that build a ``PairRecord`` or ``BlockRecord`` each
 time one is read (nothing is cached), and a transcript given records
 instead of columns packs them into the same columns.
+
+Engines. A session runs block by block (``_run_blocks``): prepare a
+``LabelRegister``, ``transmit`` it through Eve and the noise, and let Bob
+Bell-measure each restored pair. The one exception is a keyed session whose
+Eve is a ``bell_probe`` with ``budget == 1``, chosen from the session's own
+mode, Eve kind and budget (``_run_probe_tape``). Its block makes a fixed run
+of draws: 2 raw 64-bit draws for the symbols, 1 uniform for the probe, 8
+when ``noise > 0`` (upper qubits 0, 2, 4, 6, then lower slots 0-3, slot p
+on qubit ``2*perm[p] + 1``) and 4 for Bob's pairs in slot order. So one
+``random_raw`` tape of n_blocks rows replays the session, and the check's
+draws continue the same stream. The probe leaves a dense core of pair 0
+alone (op ``perm[0] == 0``) or of pairs 0 and ``j = perm[0]``, and every
+other pair keeps its label. ``adversary.probe_tables(a, b)`` holds the
+probe's branch probabilities, Bob's pair-0 Bell probabilities in each
+branch, and his pair-j probabilities given pair 0's outcome, all computed
+once on the dense core. Noise is an XOR: X, Y and Z on a qubit of a Bell
+pair map Bell state k to k ^ 2, k ^ 3 and k ^ 1, so they only permute the
+table columns Bob reads, and a labelled pair reads ``label ^ flips``. Each
+outcome is drawn by ``quantum.sample_rows``, ``sample_index``'s rule row by
+row. The tables equal the dense core's probabilities exactly without noise
+and to rounding with it. So, as between the label and the dense engine,
+only a draw within about 1e-16 of a branch boundary could tell the two
+paths apart.
 """
 
 from __future__ import annotations
@@ -31,9 +54,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adversary import EveLog, EveStrategy
-from .channel import TransitBlock, transmit
-from .quantum import BELL_STATES, BellState, LabelRegister, bell_measure
+from .adversary import EveLog, EveStrategy, ProbeEntry, probe_tables
+from .channel import _PAULIS, TransitBlock, transmit
+from .quantum import BELL_STATES, BellState, LabelRegister, _pauli_flip, bell_measure, sample_rows
 from .quantum import tensor  # noqa: F401  perfbench's quantum.tensor span wraps this name
 from .rearrange import (
     ControlKey,
@@ -352,8 +375,13 @@ def alice_prepare_block(
         values = rng.integers(0, 4, size=block_size).tolist()
     else:
         raws = rng.bit_generator.random_raw(block_size // 2).tolist()
-        values = [v for r in raws for v in ((r >> 30) & 3, r >> 62)]
+        values = [v for r in raws for v in _raw_labels(r)]
     return [BELL_STATES[v] for v in values], LabelRegister(values)
+
+
+def _raw_labels(raw):
+    """The two symbols ``rng.integers(0, 4)`` reads off a raw 64-bit draw (an int or an array)."""
+    return (raw >> 30) & 3, raw >> 62
 
 
 def _check_records(
@@ -450,6 +478,58 @@ def _run_blocks(
     return pairs, BlockColumns(alice_ops, bob_ops, eve_guess), log
 
 
+# The label XOR of each Pauli ``channel.depolarize`` applies, in its order.
+_PAULI_XOR = np.array([_pauli_flip(p) for p in _PAULIS], dtype=np.uint8)
+
+
+def _run_probe_tape(
+    cfg: SessionConfig, rng: np.random.Generator, ops: np.ndarray
+) -> tuple[PairColumns, BlockColumns, EveLog]:
+    """``_run_blocks`` for a keyed session whose Eve probes one duo per block.
+
+    Every block makes the same draws, so one raw-draw tape replays the
+    session; the probe and Bob's core measurements read ``probe_tables`` and
+    noise XORs labels (see the module docstring).
+    """
+    n, size = cfg.n_blocks, cfg.block_size
+    half = size // 2
+    noisy = cfg.noise > 0.0
+    draws = half + 1 + (2 * size if noisy else 0) + size  # prepare, probe, noise, Bob
+    tape = rng.bit_generator.random_raw(n * draws).reshape(n, draws)
+    labels = np.stack(_raw_labels(tape[:, :half]), axis=2).reshape(n, size).astype(np.uint8)
+    u = (tape[:, half:] >> 11) * 2.0**-53  # rng.random() of each raw draw
+    perms = np.array([op.perm for op in cfg.op_set])[ops]
+    rows = np.arange(n)
+    flips = np.zeros((n, size), np.uint8)
+    if noisy:
+        quarter = cfg.noise / 4.0
+        noise = u[:, 1 : 1 + 2 * size]
+        hit = noise < 3.0 * quarter
+        pauli = np.zeros(noise.shape, np.uint8)
+        pauli[hit] = _PAULI_XOR[(noise[hit] / quarter).astype(np.intp)]
+        flips ^= pauli[:, :size]  # upper qubit 2k belongs to pair k
+        flips[rows[:, None], perms] ^= pauli[:, size:]  # lower slot p carries pair perm[p]
+    bob = u[:, -size:]
+    measured = labels ^ flips
+    j = perms[:, 0]
+    table_row = np.where(j == 0, labels[:, 0], 4 + 4 * labels[:, 0] + labels[rows, j])
+    probe, first, second = probe_tables(cfg.eve.a, cfg.eve.b)
+    kp = sample_rows(probe[table_row], u[:, 0])
+    # A Pauli XORs a Bell outcome, so flips permute the columns of a table row.
+    outcomes = np.arange(4, dtype=np.uint8)
+    f0 = flips[:, 0, None]
+    measured[:, 0] = sample_rows(first[kp[:, None], table_row[:, None], outcomes ^ f0], bob[:, 0])
+    two = np.flatnonzero(j)
+    jt = j[two]
+    given_r0 = measured[two, :1] ^ f0[two]
+    conditional = second[kp[two, None], table_row[two, None], given_r0, outcomes ^ flips[two, jt, None]]
+    measured[two, jt] = sample_rows(conditional, bob[two, jt])
+    log = EveLog(probes=[ProbeEntry(t, 0, 1 - 2 * k) for t, k in enumerate(kp.tolist())])
+    flags = np.zeros(n * size, bool)
+    pairs = PairColumns(labels.ravel(), measured.ravel(), flags, ~flags, size)
+    return pairs, BlockColumns(ops, ops, np.full(n, -1)), log
+
+
 def _checked_transcript(
     cfg: SessionConfig,
     rng: np.random.Generator,
@@ -482,7 +562,11 @@ def run_keyed_session(cfg: SessionConfig) -> SessionTranscript:
     if cfg.mode != "keyed":
         raise ValueError("config mode is not 'keyed'")
     rng = np.random.default_rng(cfg.seed)
-    ops = [op_index_for_block(cfg.control_key, cfg.group, t) for t in range(cfg.n_blocks)]
+    ops = op_index_for_block(cfg.control_key, cfg.group, np.arange(cfg.n_blocks))
+    eve = cfg.eve
+    if eve is not None and eve.kind == "bell_probe" and eve.budget == 1:
+        return _checked_transcript(cfg, rng, *_run_probe_tape(cfg, rng, ops))
+    ops = ops.tolist()
     return _checked_transcript(cfg, rng, *_run_blocks(cfg, rng, ops, ops))
 
 

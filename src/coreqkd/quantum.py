@@ -427,6 +427,21 @@ def sample_index(probs: Sequence[float], rng: np.random.Generator) -> int:
     return last
 
 
+def sample_rows(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``sample_index`` row by row: the index drawn from row i of ``probs`` with uniform ``u[i]``.
+
+    The same rule: the sequential partial sums of the branches above the
+    floor (``cumsum`` adds left to right, as ``acc += p`` does), the first
+    branch whose sum exceeds u, else the last branch above the floor.
+    """
+    live = probs > _PROB_FLOOR
+    if not live.any(axis=1).all():
+        raise RuntimeError("no branch with positive probability")
+    below = u[:, None] < np.cumsum(np.where(live, probs, 0.0), axis=1)
+    last = probs.shape[1] - 1 - live[:, ::-1].argmax(axis=1)
+    return np.where(below.any(axis=1), below.argmax(axis=1), last)
+
+
 @functools.lru_cache(maxsize=1024)
 def _axis_orders(n: int, qubits: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The axis order that brings the listed qubits of an n-qubit tensor to the front, and back."""

@@ -207,9 +207,16 @@ class GroupConfig:
             raise ValueError("group_size must be >= 1")
 
 
-def op_index_for_block(key: ControlKey, group: GroupConfig, block: int) -> int:
-    """Key value selecting the op for block t: position floor(t/group) mod N_k."""
-    return key.op_indices[(block // group.group_size) % key.n_k]
+def op_index_for_block(key: ControlKey, group: GroupConfig, block: int | np.ndarray) -> int | np.ndarray:
+    """Key value selecting the op for block t: position floor(t/group) mod N_k.
+
+    ``block`` is one block index, or an integer array of them for the array
+    of their op indices.
+    """
+    position = (block // group.group_size) % key.n_k
+    if isinstance(position, np.ndarray):
+        return np.take(key.op_indices, position)
+    return key.op_indices[position]
 
 
 Triple = tuple[str, str, str]

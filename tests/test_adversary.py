@@ -1,5 +1,7 @@
 """Tests for the eavesdropper strategies."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -12,15 +14,24 @@ from coreqkd.adversary import (
     exact_guess_attack_pair_errors,
     probe_mean_bell_ensemble,
     probe_mean_fixed_state,
+    probe_plus_probability,
+    probe_tables,
 )
 from coreqkd.protocol import ControlKey, SessionConfig, run_keyed_session
 from coreqkd.quantum import (
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
     BellState,
     Direction,
     LabelRegister,
     Z_DIR,
+    apply_single_qubit,
+    bell_outcome_probabilities,
+    bell_project,
     bell_state,
     correlation_operator,
+    density,
     expectation,
     partial_trace_register,
     random_direction,
@@ -224,3 +235,78 @@ class TestBellProbe:
                 eve=EveStrategy.bell_probe(budget=budget),
             )
             assert len(run_keyed_session(cfg).eve_log.probes) == 40 * budget
+
+
+# Identity, then X, Y and Z with the XOR each applies to a Bell label.
+PAULIS = ((None, 0), (SIGMA_X, 2), (SIGMA_Y, 3), (SIGMA_Z, 1))
+
+
+def table_core(row: int) -> tuple:
+    """The dense core of a ``probe_tables`` row, its probed duo and its Bob duos."""
+    if row < 4:
+        return bell_state(BellState(row)), (0, 1), ((0, 1),)
+    l0, lj = divmod(row - 4, 4)
+    return tensor(bell_state(BellState(l0)), bell_state(BellState(lj))), (0, 3), ((0, 1), (2, 3))
+
+
+class TestProbeTables:
+    """The keyed one-duo tables against the dense engine, on exact distributions."""
+
+    @pytest.mark.parametrize("directions, every_pattern", [
+        ((Direction.normalized(1, -2, 0.5), Direction.normalized(0.3, 1, -1)), True),
+        ((Z_DIR, Z_DIR), False),  # Bell eigenstates: zero-probability probe branches
+    ])
+    def test_every_row_branch_and_pauli_pattern_matches_the_dense_engine(
+        self, directions, every_pattern, monkeypatch
+    ):
+        """The XOR rule does not depend on the directions, so one pair takes every Pauli pattern."""
+        a, b = directions
+        probe, first, second = probe_tables(a, b)
+        drawn, dense, table = [], [], []  # dense-engine values and their table values
+        for row, kp in itertools.product(range(adversary.PROBE_TABLE_ROWS), (0, 1)):
+            core, duo, bob = table_core(row)
+            rho = partial_trace_register(density(core), core.n_qubits, duo)
+            dense.append([probe_plus_probability(rho, a, b)])
+            table.append([probe[row, 0]])
+            if probe[row, kp] <= 1e-15:
+                dense.append([0.0])
+                table.append([probe[row, kp]])
+                assert not first[kp, row].any() and not second[kp, row].any()
+                continue
+            drawn.clear()
+            monkeypatch.setattr(adversary, "sample_index", lambda probs, rng: drawn.append(probs) or kp)
+            outcome, after = eve_bell_probe(core, *duo, a, b, None)
+            assert outcome == 1 - 2 * kp
+            dense.append(drawn[0])
+            table.append(probe[row])
+            for pattern in itertools.product(PAULIS if every_pattern else PAULIS[:1], repeat=core.n_qubits):
+                noisy = after
+                for qubit, (pauli, _) in enumerate(pattern):
+                    if pauli is not None:
+                        noisy = apply_single_qubit(noisy, qubit, pauli)
+                flips = [pattern[2 * k][1] ^ pattern[2 * k + 1][1] for k in range(len(bob))]
+                marginal = first[kp, row, np.arange(4) ^ flips[0]]
+                dense.append(bell_outcome_probabilities(noisy, *bob[0]))
+                table.append(marginal)
+                for r in range(4):
+                    prob, rest = bell_project(noisy, *bob[0], r)
+                    dense.append([prob])
+                    table.append([marginal[r]])
+                    if len(bob) == 2 and rest is not None:
+                        dense.append(bell_outcome_probabilities(rest, *bob[1]))
+                        table.append(second[kp, row, r ^ flips[0], np.arange(4) ^ flips[1]])
+        dense_values, table_values = np.concatenate(dense), np.concatenate(table)
+        assert dense_values.size > (60_000 if every_pattern else 300)
+        np.testing.assert_allclose(dense_values, table_values, rtol=0, atol=1e-12)
+
+    def test_tables_are_built_once_per_direction_pair_and_read_only(self):
+        a, b = Direction.normalized(2, 1, 0), Direction.normalized(0, 1, 5)
+        tables = probe_tables(a, b)
+        assert probe_tables(Direction(a.x, a.y, a.z), b) is tables
+        for table in tables:
+            with pytest.raises(ValueError):
+                table.flat[0] = 0.5
+        probe, first, second = tables
+        np.testing.assert_allclose(probe.sum(axis=1), 1.0, atol=1e-12)
+        np.testing.assert_allclose(first.sum(axis=2), (probe.T > 1e-15).astype(float), atol=1e-12)
+        assert not second[:, :4].any()

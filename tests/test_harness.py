@@ -196,7 +196,8 @@ class TestConfigParsing:
 
 
 # Small experiments whose csv reports are pinned by sha256, one per path through
-# the engines: keyed guess_core with noise, a bootstrap noise sweep, a bell_probe row.
+# the engines: keyed guess_core with noise, a bootstrap noise sweep, bell_probe rows
+# on the per-block engine and on the keyed one-duo tape.
 # A change that moves any RNG stream or any outcome changes a digest.
 PINNED_REPORTS = {
     "keyed_guess_core_noise": (
@@ -224,6 +225,18 @@ PINNED_REPORTS = {
         "[session]\nmode = bootstrap\nn_blocks = 64\nerror_threshold = 1.0\nnoise = 0.1\n"
         "[eve]\nkind = bell_probe\na = 0 0 1\nb = 1 1 0\nbudget = 3\n",
         "9a1cb8c38da800d4c5c8b22f40bd3bcf840dc527b3da185fbc4e89cee7fac189",
+    ),
+    # A keyed probe of one duo per block under noise, with a grouped key.
+    "keyed_bell_probe_noise": (
+        "[experiment]\nname = pin-probe-keyed\ntrials = 2\nseed = 37\n"
+        "[session]\nn_blocks = 120\ncontrol_key = 0110\ngroup_size = 2\nerror_threshold = 1.0\nnoise = 0.1\n"
+        "[eve]\nkind = bell_probe\na = 0 1 0\nb = 1 1 1\n",
+        "d01709471b17a17bde6f17534a9528000efe7399e9c9757dfdc700369536e80c",
+    ),
+    # Every Eve kind against the same 1500-block keyed session.
+    "attack_comparison": (
+        (ROOT / "demos" / "experiments" / "attack_comparison.ini").read_text(encoding="utf-8"),
+        "08007532f52988b84bbcc0234f6b2e748e3eba2cac4e4d53ec23b6541e0077d9",
     ),
     # The benchmark's keyed-intercept job (perfbench/workloads.py) at seed 3.
     "keyed_intercept": (

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from coreqkd import harness, protocol
+from coreqkd import adversary, harness, protocol
 from coreqkd.adversary import EveStrategy
 from coreqkd.protocol import (
     InsufficientSiftError,
@@ -27,8 +27,17 @@ from coreqkd.protocol import (
     run_bootstrap_session,
     run_keyed_session,
 )
-from coreqkd.quantum import BellState, Direction, LabelRegister, StateVector, bell_outcome_probabilities
-from coreqkd.rearrange import ControlKey, CoreOpSet, GroupConfig
+from coreqkd.quantum import (
+    X_DIR,
+    Y_DIR,
+    Z_DIR,
+    BellState,
+    Direction,
+    LabelRegister,
+    StateVector,
+    bell_outcome_probabilities,
+)
+from coreqkd.rearrange import ControlKey, CoreOpSet, GroupConfig, op_index_for_block
 
 KEY_ALL_OPS = ControlKey.from_indices([0, 1, 2, 3])
 
@@ -122,7 +131,7 @@ class TestPrepareStream:
     def test_sessions_draw_the_stream_of_rng_integers(self, cfg):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(protocol, "alice_prepare_block", integers_prepare)
-            expected = session_result(cfg)
+            expected = per_block_session_result(cfg)
         assert session_result(cfg) == expected
 
 
@@ -357,8 +366,20 @@ def session_result(cfg: SessionConfig):
         return str(exc)
 
 
+def per_block_keyed_session(cfg: SessionConfig) -> SessionTranscript:
+    """A keyed session on the per-block engine, which ``run_keyed_session`` skips for one-duo probes."""
+    rng = np.random.default_rng(cfg.seed)
+    ops = op_index_for_block(cfg.control_key, cfg.group, np.arange(cfg.n_blocks)).tolist()
+    return protocol._checked_transcript(cfg, rng, *protocol._run_blocks(cfg, rng, ops, ops))
+
+
+def per_block_session_result(cfg: SessionConfig):
+    """``session_result`` with every block through ``alice_prepare_block`` and ``transmit``."""
+    return per_block_keyed_session(cfg) if cfg.mode == "keyed" else session_result(cfg)
+
+
 def dense_session_result(cfg: SessionConfig):
-    """The same session with every block prepared as a dense state vector."""
+    """The same session on the per-block engine with every block prepared as a dense state vector."""
     prepare = alice_prepare_block
 
     def dense_prepare(rng, block_size=4):
@@ -368,7 +389,7 @@ def dense_session_result(cfg: SessionConfig):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(protocol, "alice_prepare_block", dense_prepare)
-        return session_result(cfg)
+        return per_block_session_result(cfg)
 
 
 @st.composite
@@ -445,10 +466,104 @@ class TestLabelEngine:
         cfg = SessionConfig(n_blocks=40, control_key=KEY_ALL_OPS, eve=EveStrategy.bell_probe())
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(protocol, "bell_measure", spy)
-            run_keyed_session(cfg)
+            per_block_keyed_session(cfg)
         firsts = sizes[::4]
         assert set(firsts) == {2, 4} and max(sizes) == 4
         assert firsts.count(2) == 10  # the identity op drives one block in four
+
+
+class RawStream:
+    """A generator stand-in that replays given raw 64-bit draws to ``random_raw`` and ``random``."""
+
+    def __init__(self, raws: np.ndarray):
+        self.raws = raws
+        self.used = 0
+        self.bit_generator = self
+
+    def random_raw(self, size: int) -> np.ndarray:
+        self.used += size
+        return self.raws[self.used - size : self.used].copy()
+
+    def random(self) -> float:
+        return float(self.random_raw(1)[0] >> np.uint64(11)) * 2.0**-53
+
+
+PROBE_DIRECTIONS = [
+    (X_DIR, Z_DIR),
+    (Z_DIR, Z_DIR),
+    (Y_DIR, Direction.normalized(1, 1, 1)),
+    (Direction.normalized(1, -2, 3), Direction.normalized(-0.5, 1, 2)),
+]
+NON_CYCLIC = CoreOpSet([(0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)])
+
+
+class TestProbeTape:
+    """Keyed sessions probed on one duo per block: the tape path against the per-block engine."""
+
+    @pytest.mark.parametrize("noise", [0.0, 0.05, 0.37])
+    @pytest.mark.parametrize("key", ["00011011", "0110", "00", "11100100"])
+    def test_sessions_match_the_per_block_engine(self, key, noise):
+        for seed, (a, b), op_set in itertools.product(range(6), PROBE_DIRECTIONS, [CoreOpSet.cyclic(), NON_CYCLIC]):
+            cfg = SessionConfig(
+                n_blocks=12,
+                control_key=ControlKey.from_bits(key),
+                group=GroupConfig(1 + seed % 2),
+                check_fraction=0.25 + 0.25 * (seed % 3),
+                seed=1_000_003 * seed + 11,
+                eve=EveStrategy.bell_probe(a, b),
+                noise=noise,
+                op_set=op_set,
+                error_threshold=0.2,
+            )
+            assert run_keyed_session(cfg) == per_block_keyed_session(cfg)
+
+    def test_the_tape_reads_the_per_block_stream(self):
+        for noise, seed in itertools.product((0.0, 0.1), range(3)):
+            cfg = SessionConfig(
+                n_blocks=50, control_key=KEY_ALL_OPS, seed=seed, noise=noise, eve=EveStrategy.bell_probe()
+            )
+            ops = op_index_for_block(cfg.control_key, cfg.group, np.arange(cfg.n_blocks))
+            tape, blocks = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = protocol._run_probe_tape(cfg, tape, ops)
+            expected = protocol._run_blocks(cfg, blocks, ops.tolist(), ops.tolist())
+            assert got == expected
+            assert got[0].prepared.dtype == got[0].measured.dtype == np.uint8
+            assert tape.bit_generator.state == blocks.bit_generator.state
+
+    @pytest.mark.parametrize("noise", [0.0, 0.5])
+    def test_draws_on_branch_and_noise_boundaries_match_the_per_block_engine(self, noise):
+        """Uniforms exactly on a partial sum of the probe's or Bob's branches, or of ``depolarize``'s."""
+        data = np.random.default_rng(int(noise * 10) + 5)
+        edges = [0.0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, *np.nextafter([0.125, 0.375, 0.5, 1.0], 0)]
+        n, draws = 60, 2 + 1 + 8 * (noise > 0) + 4
+        u = data.choice(edges, size=(n, draws))
+        if noise:
+            u[:, -4:] = data.random((n, 4))  # noisy core probabilities match only to rounding
+        raws = ((u * 2.0**53).astype(np.uint64) << np.uint64(11)) | data.integers(0, 2**11, size=u.shape, dtype=np.uint64)
+        raws[:, :2] = data.integers(0, 2**64, size=(n, 2), dtype=np.uint64)
+        for a, b in PROBE_DIRECTIONS:
+            cfg = SessionConfig(n_blocks=n, control_key=KEY_ALL_OPS, noise=noise, eve=EveStrategy.bell_probe(a, b))
+            ops = op_index_for_block(cfg.control_key, cfg.group, np.arange(n))
+            got = protocol._run_probe_tape(cfg, RawStream(raws.ravel()), ops)
+            assert got == protocol._run_blocks(cfg, RawStream(raws.ravel()), ops.tolist(), ops.tolist())
+
+    def test_only_budget_one_keyed_sessions_skip_the_dense_probe(self, monkeypatch):
+        calls = []
+        original = adversary.eve_bell_probe
+
+        def spy(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(adversary, "eve_bell_probe", spy)
+        for mode, budget, expected in (("keyed", 1, 0), ("keyed", 2, 40), ("bootstrap", 1, 20)):
+            calls.clear()
+            cfg = SessionConfig(
+                n_blocks=20, control_key=KEY_ALL_OPS, mode=mode, error_threshold=1.0,
+                eve=EveStrategy.bell_probe(budget=budget),
+            )
+            session_result(cfg)
+            assert len(calls) == expected
 
 
 def transcript_of(cfg: SessionConfig) -> SessionTranscript:

@@ -37,6 +37,7 @@ from coreqkd.quantum import (
     pauli_along,
     random_direction,
     sample_index,
+    sample_rows,
     tensor,
 )
 from coreqkd.rearrange import CoreOpSet
@@ -434,6 +435,56 @@ class FixedDraw:
     def random(self) -> float:
         self.draws += 1
         return self.u
+
+
+class TestSampleRows:
+    """``sample_rows`` against ``sample_index`` applied to each row with the same uniform."""
+
+    @staticmethod
+    def assert_rows_match(probs: np.ndarray, u: np.ndarray) -> None:
+        expected = [sample_index(row.tolist(), FixedDraw(float(v))) for row, v in zip(probs, u)]
+        assert sample_rows(probs, u).tolist() == expected
+
+    def test_random_rows(self):
+        rng = np.random.default_rng(41)
+        for width in (2, 4, 7):
+            probs = rng.dirichlet(np.ones(width), size=500)
+            self.assert_rows_match(probs, rng.random(500))
+
+    def test_rows_with_floored_branches(self):
+        rng = np.random.default_rng(42)
+        probs = rng.dirichlet(np.ones(4), size=2000)
+        floored = rng.random(probs.shape) < 0.4
+        probs[floored] = rng.choice([0.0, 1e-16, 1e-15], size=int(floored.sum()))
+        probs[np.flatnonzero(~(probs > 1e-15).any(axis=1)), 2] = 0.5
+        # Rows that sum to less than 1, so large draws fall past every partial sum.
+        probs[::3] *= 0.9
+        u = rng.random(2000)
+        u[::5] = np.nextafter(1.0, 0.0)
+        self.assert_rows_match(probs, u)
+
+    def test_a_draw_equal_to_a_partial_sum(self):
+        rng = np.random.default_rng(43)
+        probs = rng.dirichlet(np.ones(4), size=400)
+        probs[::2, 1] = 0.0
+        probs[1::2, 1] = 1e-15  # floored: a sum that took it in would pass u
+        u = np.empty(400)
+        for i, row in enumerate(probs):
+            acc, sums = 0.0, []
+            for p in row.tolist():
+                if p > 1e-15:
+                    acc += p
+                    sums.append(acc)
+            u[i] = sums[i % len(sums)]
+        self.assert_rows_match(probs, u)
+        self.assert_rows_match(np.array([[0.25] * 4] * 4), np.array([0.0, 0.25, 0.5, 0.75]))
+
+    def test_a_row_with_no_live_branch_raises_as_sample_index_does(self):
+        probs = np.array([[0.5, 0.5], [1e-15, 0.0]])
+        with pytest.raises(RuntimeError, match="positive probability"):
+            sample_index(probs[1].tolist(), FixedDraw(0.5))
+        with pytest.raises(RuntimeError, match="positive probability"):
+            sample_rows(probs, np.array([0.5, 0.5]))
 
 
 def same_up_to_phase(a: StateVector, b: StateVector) -> bool:

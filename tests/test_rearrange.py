@@ -128,6 +128,24 @@ class TestKeyStream:
         got = [op_index_for_block(key, group, t) for t in range(9)]
         assert got == [2, 2, 2, 0, 0, 0, 2, 2, 2]
 
+    @pytest.mark.parametrize(
+        "indices, group_size, expected",
+        [
+            ([1], 1, [1] * 5),
+            ([0, 3], 1, [0, 3, 0, 3, 0, 3]),
+            ([1, 2], 4, [1] * 4 + [2] * 4),
+            ([2, 0], 3, [2, 2, 2, 0, 0, 0, 2, 2, 2]),
+        ],
+    )
+    def test_an_array_of_blocks_gives_the_array_of_their_ops(self, indices, group_size, expected):
+        key, group = ControlKey.from_indices(indices), GroupConfig(group_size)
+        got = op_index_for_block(key, group, np.arange(len(expected)))
+        assert isinstance(got, np.ndarray) and got.tolist() == expected
+        blocks = np.random.default_rng(group_size).integers(0, 10_000, size=200)
+        scalar = [op_index_for_block(key, group, t) for t in blocks.tolist()]
+        assert op_index_for_block(key, group, blocks).tolist() == scalar
+        assert all(type(v) is int for v in scalar)
+
 
 class TestDevice:
     def test_rest_schedule_is_identity(self):
