@@ -106,11 +106,15 @@ class EveStrategy:
         return cls(kind="bell_probe", a=a, b=b, budget=budget)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProbeEntry:
     block: int
     slot: int
     outcome: int
+
+
+# One probe of Eve's log: the block, the slot and the outcome (+1 or -1).
+_PROBE_RECORD = np.dtype([("block", "<u4"), ("slot", "u1"), ("outcome", "i1")])
 
 
 @dataclass
@@ -119,17 +123,36 @@ class EveLog:
 
     ``symbols`` is a byte column: the ``BellState`` value Eve measured on each
     pair of every block she guessed, block by block in slot order (her guessed
-    op is the transcript's ``eve_guess`` column).
+    op is the transcript's ``eve_guess`` column). ``probe_records`` holds her
+    probes in order, one packed ``_PROBE_RECORD`` each; ``probes`` reads them
+    as ``ProbeEntry`` records, built on each read.
     """
 
     symbols: bytearray = field(default_factory=bytearray)
-    probes: list[ProbeEntry] = field(default_factory=list)
+    probe_records: bytearray = field(default_factory=bytearray)
+
+    @classmethod
+    def of_probes(cls, blocks: np.ndarray, slots: np.ndarray, outcomes: np.ndarray) -> "EveLog":
+        """A log of the probes given as three integer arrays."""
+        records = np.empty(len(blocks), _PROBE_RECORD)
+        records["block"], records["slot"], records["outcome"] = blocks, slots, outcomes
+        return cls(probe_records=bytearray(records.tobytes()))
+
+    def add_probe(self, block: int, slot: int, outcome: int) -> None:
+        self.probe_records += np.array((block, slot, outcome), _PROBE_RECORD).tobytes()
+
+    def _probe_column(self) -> np.ndarray:
+        return np.frombuffer(self.probe_records, _PROBE_RECORD)
+
+    @property
+    def probes(self) -> tuple[ProbeEntry, ...]:
+        return tuple(ProbeEntry(*record) for record in self._probe_column().tolist())
 
     @property
     def probe_mean(self) -> float | None:
-        if not self.probes:
+        if not self.probe_records:
             return None
-        return float(np.mean([p.outcome for p in self.probes]))
+        return float(self._probe_column()["outcome"].mean())
 
 
 def eve_guess_core_attack(
@@ -293,7 +316,7 @@ def intercept(
         else:
             outcome, register = eve_bell_probe(register, *duo, a, b, rng)
         if log is not None:
-            log.probes.append(ProbeEntry(block_index, slot, outcome))
+            log.add_probe(block_index, slot, outcome)
     return register, None
 
 

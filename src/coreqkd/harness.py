@@ -215,7 +215,7 @@ def _grid(spec: ExperimentSpec) -> list[dict]:
 def _trial_stats(transcript: SessionTranscript) -> dict:
     verdict = transcript.verdict
     probe = transcript.eve_log.probe_mean if transcript.eve_log else None
-    key_bits = len(transcript.raw_key()) if transcript.accepted else 0
+    key_bits = transcript.raw_key_length if transcript.accepted else 0
     values = (
         verdict.measured_error_rate if verdict else None,
         transcript.wrong_guess_error_rate(),

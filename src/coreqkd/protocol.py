@@ -23,26 +23,29 @@ instead of columns packs them into the same columns.
 
 Engines. A session runs block by block (``_run_blocks``): prepare a
 ``LabelRegister``, ``transmit`` it through Eve and the noise, and let Bob
-Bell-measure each restored pair. The one exception is a keyed session whose
-Eve is a ``bell_probe`` with ``budget == 1``, chosen from the session's own
-mode, Eve kind and budget (``_run_probe_tape``). Its block makes a fixed run
-of draws: 2 raw 64-bit draws for the symbols, 1 uniform for the probe, 8
-when ``noise > 0`` (upper qubits 0, 2, 4, 6, then lower slots 0-3, slot p
-on qubit ``2*perm[p] + 1``) and 4 for Bob's pairs in slot order. So one
-``random_raw`` tape of n_blocks rows replays the session, and the check's
-draws continue the same stream. The probe leaves a dense core of pair 0
-alone (op ``perm[0] == 0``) or of pairs 0 and ``j = perm[0]``, and every
-other pair keeps its label. ``adversary.probe_tables(a, b)`` holds the
-probe's branch probabilities, Bob's pair-0 Bell probabilities in each
-branch, and his pair-j probabilities given pair 0's outcome, all computed
-once on the dense core. Noise is an XOR: X, Y and Z on a qubit of a Bell
-pair map Bell state k to k ^ 2, k ^ 3 and k ^ 1, so they only permute the
-table columns Bob reads, and a labelled pair reads ``label ^ flips``. Each
-outcome is drawn by ``quantum.sample_rows``, ``sample_index``'s rule row by
-row. The tables equal the dense core's probabilities exactly without noise
-and to rounding with it. So, as between the label and the dense engine,
-only a draw within about 1e-16 of a branch boundary could tell the two
-paths apart.
+Bell-measure each restored pair. Two kinds of keyed session, chosen from
+the session's own mode, Eve kind and budget, skip the loop: one with no Eve
+(``_run_clean_tape``) and one whose Eve is a ``bell_probe`` with
+``budget == 1`` (``_run_probe_tape``). Their blocks all make the same run of
+draws: 2 raw 64-bit draws for the symbols, 1 uniform for the probe if there
+is one, 8 when ``noise > 0`` (upper qubits 0, 2, 4, 6, then lower slots 0-3,
+slot p on qubit ``2*perm[p] + 1``) and 4 for Bob's pairs in slot order. So
+one ``random_raw`` tape of n_blocks rows (``_session_tape``) replays the
+session, and the check's draws continue the same stream. Noise is an XOR:
+X, Y and Z on a qubit of a Bell pair map Bell state k to k ^ 2, k ^ 3 and
+k ^ 1. Without Eve every pair stays a Bell pair, so ``measured = label ^
+flips``; Bob's draws are spent unread, as ``_measure_labels`` spends them on
+a certain outcome. The probe leaves a dense core of pair 0 alone (op
+``perm[0] == 0``) or of pairs 0 and ``j = perm[0]``, and every other pair
+keeps its label. ``adversary.probe_tables(a, b)`` holds the probe's branch
+probabilities, Bob's pair-0 Bell probabilities in each branch, and his
+pair-j probabilities given pair 0's outcome, all computed once on the dense
+core. Flips only permute the table columns Bob reads, and a labelled pair
+reads ``label ^ flips``. Each outcome is drawn by ``quantum.sample_rows``,
+``sample_index``'s rule row by row. The tables equal the dense core's
+probabilities exactly without noise and to rounding with it. So, as
+between the label and the dense engine, only a draw within about 1e-16 of
+a branch boundary could tell the two paths apart.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adversary import EveLog, EveStrategy, ProbeEntry, probe_tables
+from .adversary import EveLog, EveStrategy, probe_tables
 from .channel import _PAULIS, TransitBlock, transmit
 from .quantum import BELL_STATES, BellState, LabelRegister, _pauli_flip, bell_measure, sample_rows
 from .quantum import tensor  # noqa: F401  perfbench's quantum.tensor span wraps this name
@@ -317,6 +320,11 @@ class SessionTranscript:
         kept = symbols[self.records.sifted & ~self.records.checked]
         return tuple(_KEY_BITS[kept].ravel().tolist())
 
+    @property
+    def raw_key_length(self) -> int:
+        """``len(raw_key())``: two bits per unchecked, sifted pair."""
+        return 2 * int(np.count_nonzero(self.records.sifted & ~self.records.checked))
+
     def raw_key(self) -> tuple[int, ...]:
         """Receiver-side raw key bits over unchecked, sifted pairs."""
         return self._key_bits(self.records.measured)
@@ -482,39 +490,71 @@ def _run_blocks(
 _PAULI_XOR = np.array([_pauli_flip(p) for p in _PAULIS], dtype=np.uint8)
 
 
+def _session_tape(
+    cfg: SessionConfig, rng: np.random.Generator, perms: np.ndarray, eve_draws: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The draws of a keyed session whose blocks all draw alike, one row per block.
+
+    A block draws 2 raws for its symbols, ``eve_draws`` uniforms for Eve, 8
+    for noise when ``noise > 0`` and 4 for Bob. Returns the prepared labels,
+    Eve's uniforms, the label XOR noise left on each pair and Bob's uniforms.
+    """
+    n, size = cfg.n_blocks, cfg.block_size
+    half = size // 2
+    noisy = cfg.noise > 0.0
+    draws = half + eve_draws + (2 * size if noisy else 0) + size
+    tape = rng.bit_generator.random_raw(n * draws).reshape(n, draws)
+    labels = np.stack(_raw_labels(tape[:, :half]), axis=2).reshape(n, size).astype(np.uint8)
+    u = (tape[:, half:] >> 11) * 2.0**-53  # rng.random() of each raw draw
+    flips = np.zeros((n, size), np.uint8)
+    if noisy:
+        quarter = cfg.noise / 4.0
+        noise = u[:, eve_draws : eve_draws + 2 * size]
+        hit = noise < 3.0 * quarter
+        pauli = np.zeros(noise.shape, np.uint8)
+        pauli[hit] = _PAULI_XOR[(noise[hit] / quarter).astype(np.intp)]
+        flips ^= pauli[:, :size]  # upper qubit 2k belongs to pair k
+        flips[np.arange(n)[:, None], perms] ^= pauli[:, size:]  # lower slot p carries pair perm[p]
+    return labels, u[:, :eve_draws], flips, u[:, -size:]
+
+
+def _op_perms(cfg: SessionConfig, ops: np.ndarray) -> np.ndarray:
+    return np.array([op.perm for op in cfg.op_set])[ops]
+
+
+def _keyed_columns(
+    ops: np.ndarray, labels: np.ndarray, measured: np.ndarray
+) -> tuple[PairColumns, BlockColumns]:
+    """The columns of a keyed session: every pair sifted, none checked yet, no guess."""
+    flags = np.zeros(labels.size, bool)
+    pairs = PairColumns(labels.ravel(), measured.ravel(), flags, ~flags, labels.shape[1])
+    return pairs, BlockColumns(ops, ops, np.full(len(ops), -1))
+
+
+def _run_clean_tape(
+    cfg: SessionConfig, rng: np.random.Generator, ops: np.ndarray
+) -> tuple[PairColumns, BlockColumns, None]:
+    """``_run_blocks`` for a keyed session with no Eve: Bob reads each pair's ``label ^ flips``."""
+    labels, _, flips, _ = _session_tape(cfg, rng, _op_perms(cfg, ops), 0)
+    return (*_keyed_columns(ops, labels, labels ^ flips), None)
+
+
 def _run_probe_tape(
     cfg: SessionConfig, rng: np.random.Generator, ops: np.ndarray
 ) -> tuple[PairColumns, BlockColumns, EveLog]:
     """``_run_blocks`` for a keyed session whose Eve probes one duo per block.
 
-    Every block makes the same draws, so one raw-draw tape replays the
-    session; the probe and Bob's core measurements read ``probe_tables`` and
-    noise XORs labels (see the module docstring).
+    The probe and Bob's core measurements read ``probe_tables`` and noise
+    XORs labels (see the module docstring).
     """
-    n, size = cfg.n_blocks, cfg.block_size
-    half = size // 2
-    noisy = cfg.noise > 0.0
-    draws = half + 1 + (2 * size if noisy else 0) + size  # prepare, probe, noise, Bob
-    tape = rng.bit_generator.random_raw(n * draws).reshape(n, draws)
-    labels = np.stack(_raw_labels(tape[:, :half]), axis=2).reshape(n, size).astype(np.uint8)
-    u = (tape[:, half:] >> 11) * 2.0**-53  # rng.random() of each raw draw
-    perms = np.array([op.perm for op in cfg.op_set])[ops]
-    rows = np.arange(n)
-    flips = np.zeros((n, size), np.uint8)
-    if noisy:
-        quarter = cfg.noise / 4.0
-        noise = u[:, 1 : 1 + 2 * size]
-        hit = noise < 3.0 * quarter
-        pauli = np.zeros(noise.shape, np.uint8)
-        pauli[hit] = _PAULI_XOR[(noise[hit] / quarter).astype(np.intp)]
-        flips ^= pauli[:, :size]  # upper qubit 2k belongs to pair k
-        flips[rows[:, None], perms] ^= pauli[:, size:]  # lower slot p carries pair perm[p]
-    bob = u[:, -size:]
+    perms = _op_perms(cfg, ops)
+    labels, eve, flips, bob = _session_tape(cfg, rng, perms, 1)
     measured = labels ^ flips
+    rows = np.arange(cfg.n_blocks)
     j = perms[:, 0]
     table_row = np.where(j == 0, labels[:, 0], 4 + 4 * labels[:, 0] + labels[rows, j])
     probe, first, second = probe_tables(cfg.eve.a, cfg.eve.b)
-    kp = sample_rows(probe[table_row], u[:, 0])
+    kp = sample_rows(probe[table_row], eve[:, 0])
     # A Pauli XORs a Bell outcome, so flips permute the columns of a table row.
     outcomes = np.arange(4, dtype=np.uint8)
     f0 = flips[:, 0, None]
@@ -524,10 +564,8 @@ def _run_probe_tape(
     given_r0 = measured[two, :1] ^ f0[two]
     conditional = second[kp[two, None], table_row[two, None], given_r0, outcomes ^ flips[two, jt, None]]
     measured[two, jt] = sample_rows(conditional, bob[two, jt])
-    log = EveLog(probes=[ProbeEntry(t, 0, 1 - 2 * k) for t, k in enumerate(kp.tolist())])
-    flags = np.zeros(n * size, bool)
-    pairs = PairColumns(labels.ravel(), measured.ravel(), flags, ~flags, size)
-    return pairs, BlockColumns(ops, ops, np.full(n, -1)), log
+    log = EveLog.of_probes(rows, np.zeros_like(rows), 1 - 2 * kp)
+    return (*_keyed_columns(ops, labels, measured), log)
 
 
 def _checked_transcript(
@@ -564,7 +602,9 @@ def run_keyed_session(cfg: SessionConfig) -> SessionTranscript:
     rng = np.random.default_rng(cfg.seed)
     ops = op_index_for_block(cfg.control_key, cfg.group, np.arange(cfg.n_blocks))
     eve = cfg.eve
-    if eve is not None and eve.kind == "bell_probe" and eve.budget == 1:
+    if eve is None or eve.kind == "none":
+        return _checked_transcript(cfg, rng, *_run_clean_tape(cfg, rng, ops))
+    if eve.kind == "bell_probe" and eve.budget == 1:
         return _checked_transcript(cfg, rng, *_run_probe_tape(cfg, rng, ops))
     ops = ops.tolist()
     return _checked_transcript(cfg, rng, *_run_blocks(cfg, rng, ops, ops))

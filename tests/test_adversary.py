@@ -210,6 +210,17 @@ class TestBellProbe:
         assert len(transcript.eve_log.probes) == 50
         assert transcript.eve_log.probe_mean is not None
 
+    def test_probe_records_read_as_entries(self):
+        entries = [(0, 0, 1), (0, 1, -1), (1, 0, -1), (70_000, 3, -1)]
+        added = adversary.EveLog()
+        for entry in entries:
+            added.add_probe(*entry)
+        packed = adversary.EveLog.of_probes(*np.array(entries).T)
+        assert added == packed
+        assert packed.probes == tuple(adversary.ProbeEntry(*e) for e in entries)
+        assert packed.probe_mean == float(np.mean([e[2] for e in entries])) == -0.5
+        assert adversary.EveLog().probe_mean is None and adversary.EveLog().probes == ()
+
     def test_probe_projectors_are_built_once_per_direction_pair_and_read_only(self):
         a, b = Direction.normalized(1, 2, 3), Direction.normalized(0, -1, 1)
         projectors = adversary._probe_projectors(a, b)

@@ -246,6 +246,18 @@ PINNED_REPORTS = {
         "[eve]\nkind = guess_core\n",
         "3c4660b8e304b8ff1d1e094798292d05909a0b85c598b3a7ccd40ea756afab88",
     ),
+    # A keyed noise sweep with no Eve.
+    "noise_sweep": (
+        (ROOT / "demos" / "experiments" / "noise_sweep.ini").read_text(encoding="utf-8"),
+        "84126b208b447a08c8695552aed0813242ceeff1ee8f9ab2ea341864b94f505a",
+    ),
+    # A noisy keyed session with no Eve, a grouped key and a non-cyclic op set, in jsonl.
+    "keyed_noise_perms_jsonl": (
+        "[experiment]\nname = pin-keyed-noise-perms\ntrials = 2\nseed = 43\nformat = jsonl\n"
+        "[session]\nn_blocks = 90\ncontrol_key = 0110\ngroup_size = 2\nerror_threshold = 1.0\nnoise = 0.1\n"
+        "[rearrangement]\nperms = 0123 1032 2301 3012\n",
+        "ac5ba66f6374fa68643696508ee9b8049228db23e59b9c2c8bcad76d51ff6c0f",
+    ),
 }
 
 # Standard output of `coreqkd demo --blocks 3 --seed 7`, which prints every
@@ -257,8 +269,8 @@ PINNED_PAPER_TABLE = "212f768a59b69823c1cf8be2f0f23fc0eee13bb0ba5c96d0d766d69a5a
 
 
 def report_digest(text: str) -> str:
-    rows = run_experiment(parse_experiment_string(text))
-    return hashlib.sha256(emit_report(rows, "csv").encode()).hexdigest()
+    spec = parse_experiment_string(text)
+    return hashlib.sha256(emit_report(run_experiment(spec), spec.fmt).encode()).hexdigest()
 
 
 class TestRngStreams:

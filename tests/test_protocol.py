@@ -367,7 +367,7 @@ def session_result(cfg: SessionConfig):
 
 
 def per_block_keyed_session(cfg: SessionConfig) -> SessionTranscript:
-    """A keyed session on the per-block engine, which ``run_keyed_session`` skips for one-duo probes."""
+    """A keyed session on the per-block engine, which ``run_keyed_session`` skips without Eve or for one-duo probes."""
     rng = np.random.default_rng(cfg.seed)
     ops = op_index_for_block(cfg.control_key, cfg.group, np.arange(cfg.n_blocks)).tolist()
     return protocol._checked_transcript(cfg, rng, *protocol._run_blocks(cfg, rng, ops, ops))
@@ -497,6 +497,27 @@ PROBE_DIRECTIONS = [
 NON_CYCLIC = CoreOpSet([(0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)])
 
 
+CLEAN_EVES = (None, EveStrategy.none())
+
+
+def raw_draws(u: np.ndarray, data: np.random.Generator) -> np.ndarray:
+    """Raw 64-bit draws whose ``rng.random()`` is ``u``, with random low bits below the 53 kept."""
+    return ((u * 2.0**53).astype(np.uint64) << np.uint64(11)) | data.integers(0, 2**11, size=u.shape, dtype=np.uint64)
+
+
+def assert_tape_reads_the_per_block_stream(run_tape, eve: EveStrategy | None) -> None:
+    """A tape engine and ``_run_blocks`` on twin generators: equal columns, then equal generator states."""
+    for noise, seed, op_set in itertools.product((0.0, 0.1), range(3), [CoreOpSet.cyclic(), NON_CYCLIC]):
+        cfg = SessionConfig(n_blocks=50, control_key=KEY_ALL_OPS, seed=seed, noise=noise, eve=eve, op_set=op_set)
+        ops = op_index_for_block(cfg.control_key, cfg.group, np.arange(cfg.n_blocks))
+        tape, blocks = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = run_tape(cfg, tape, ops)
+        expected = protocol._run_blocks(cfg, blocks, ops.tolist(), ops.tolist())
+        assert got == expected
+        assert got[0].prepared.dtype == got[0].measured.dtype == np.uint8
+        assert tape.bit_generator.state == blocks.bit_generator.state
+
+
 class TestProbeTape:
     """Keyed sessions probed on one duo per block: the tape path against the per-block engine."""
 
@@ -518,17 +539,7 @@ class TestProbeTape:
             assert run_keyed_session(cfg) == per_block_keyed_session(cfg)
 
     def test_the_tape_reads_the_per_block_stream(self):
-        for noise, seed in itertools.product((0.0, 0.1), range(3)):
-            cfg = SessionConfig(
-                n_blocks=50, control_key=KEY_ALL_OPS, seed=seed, noise=noise, eve=EveStrategy.bell_probe()
-            )
-            ops = op_index_for_block(cfg.control_key, cfg.group, np.arange(cfg.n_blocks))
-            tape, blocks = np.random.default_rng(seed), np.random.default_rng(seed)
-            got = protocol._run_probe_tape(cfg, tape, ops)
-            expected = protocol._run_blocks(cfg, blocks, ops.tolist(), ops.tolist())
-            assert got == expected
-            assert got[0].prepared.dtype == got[0].measured.dtype == np.uint8
-            assert tape.bit_generator.state == blocks.bit_generator.state
+        assert_tape_reads_the_per_block_stream(protocol._run_probe_tape, EveStrategy.bell_probe())
 
     @pytest.mark.parametrize("noise", [0.0, 0.5])
     def test_draws_on_branch_and_noise_boundaries_match_the_per_block_engine(self, noise):
@@ -539,7 +550,7 @@ class TestProbeTape:
         u = data.choice(edges, size=(n, draws))
         if noise:
             u[:, -4:] = data.random((n, 4))  # noisy core probabilities match only to rounding
-        raws = ((u * 2.0**53).astype(np.uint64) << np.uint64(11)) | data.integers(0, 2**11, size=u.shape, dtype=np.uint64)
+        raws = raw_draws(u, data)
         raws[:, :2] = data.integers(0, 2**64, size=(n, 2), dtype=np.uint64)
         for a, b in PROBE_DIRECTIONS:
             cfg = SessionConfig(n_blocks=n, control_key=KEY_ALL_OPS, noise=noise, eve=EveStrategy.bell_probe(a, b))
@@ -564,6 +575,70 @@ class TestProbeTape:
             )
             session_result(cfg)
             assert len(calls) == expected
+
+
+class TestCleanTape:
+    """Keyed sessions with no Eve: the tape path against the per-block engine."""
+
+    @pytest.mark.parametrize("noise", [0.0, 0.05, 0.37, 0.999])
+    @pytest.mark.parametrize("key", ["00011011", "0110", "00", "11100100"])
+    def test_sessions_match_the_per_block_engine(self, key, noise):
+        grid = itertools.product(range(2), [1, 3, 64, 257], [1, 2], [CoreOpSet.cyclic(), NON_CYCLIC], CLEAN_EVES)
+        for seed, n_blocks, group, op_set, eve in grid:
+            cfg = SessionConfig(
+                n_blocks=n_blocks,
+                control_key=ControlKey.from_bits(key),
+                group=GroupConfig(group),
+                check_fraction=0.25 + 0.5 * seed,
+                seed=1_000_003 * seed + 7,
+                eve=eve,
+                noise=noise,
+                op_set=op_set,
+            )
+            assert run_keyed_session(cfg) == per_block_keyed_session(cfg)
+
+    def test_the_tape_reads_the_per_block_stream(self):
+        for eve in CLEAN_EVES:
+            assert_tape_reads_the_per_block_stream(protocol._run_clean_tape, eve)
+
+    @pytest.mark.parametrize("noise", [0.5, 0.75])
+    def test_noise_draws_on_boundaries_match_the_per_block_engine(self, noise):
+        """Noise uniforms exactly on ``k * quarter`` and just below ``3 * quarter``."""
+        quarter = noise / 4.0
+        data = np.random.default_rng(int(noise * 100))
+        edges = [0.0, quarter, 2.0 * quarter, 3.0 * quarter, np.nextafter(3.0 * quarter, 0), 0.999]
+        n = 80
+        raws = raw_draws(data.choice(edges, size=(n, 2 + 8 + 4)), data)
+        raws[:, :2] = data.integers(0, 2**64, size=(n, 2), dtype=np.uint64)
+        for op_set, eve in itertools.product([CoreOpSet.cyclic(), NON_CYCLIC], CLEAN_EVES):
+            cfg = SessionConfig(n_blocks=n, control_key=KEY_ALL_OPS, noise=noise, eve=eve, op_set=op_set)
+            ops = op_index_for_block(cfg.control_key, cfg.group, np.arange(n))
+            got = protocol._run_clean_tape(cfg, RawStream(raws.ravel()), ops)
+            assert got == protocol._run_blocks(cfg, RawStream(raws.ravel()), ops.tolist(), ops.tolist())
+
+    def test_only_keyed_eve_free_sessions_skip_the_block_loop(self, monkeypatch):
+        calls = []
+        for name in ("alice_prepare_block", "transmit"):
+            original = getattr(protocol, name)
+
+            def spy(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(protocol, name, spy)
+        for mode, eve, expected in (
+            ("keyed", None, 0),
+            ("keyed", EveStrategy.none(), 0),
+            ("keyed", EveStrategy.guess_core(), 20),
+            ("bootstrap", None, 20),
+        ):
+            for noise in (0.0, 0.1):
+                calls.clear()
+                cfg = SessionConfig(
+                    n_blocks=20, control_key=KEY_ALL_OPS, mode=mode, eve=eve, noise=noise, error_threshold=1.0
+                )
+                session_result(cfg)
+                assert calls.count("alice_prepare_block") == calls.count("transmit") == expected
 
 
 def transcript_of(cfg: SessionConfig) -> SessionTranscript:
