@@ -4,6 +4,7 @@ import csv
 import hashlib
 import math
 import re
+import runpy
 import subprocess
 import sys
 from dataclasses import replace
@@ -195,9 +196,9 @@ class TestConfigParsing:
             parse_experiment_string(text)
 
 
-# Small experiments whose csv reports are pinned by sha256, one per path through
-# the engines: keyed guess_core with noise, a bootstrap noise sweep, bell_probe rows
-# on the per-block engine and on the keyed one-duo tape.
+# Small experiments whose reports, in their own format, are pinned by sha256, one
+# per path through the engines: keyed guess_core with noise, a bootstrap noise
+# sweep, bell_probe rows on the per-block engine and on the keyed one-duo tape.
 # A change that moves any RNG stream or any outcome changes a digest.
 PINNED_REPORTS = {
     "keyed_guess_core_noise": (
@@ -258,6 +259,29 @@ PINNED_REPORTS = {
         "[rearrangement]\nperms = 0123 1032 2301 3012\n",
         "ac5ba66f6374fa68643696508ee9b8049228db23e59b9c2c8bcad76d51ff6c0f",
     ),
+    # A guessing Eve with custom weights, one of them 0: sample_index skips that branch.
+    "guess_core_weights": (
+        "[experiment]\nname = pin-weights\ntrials = 2\nseed = 41\n"
+        "[session]\nn_blocks = 60\ncontrol_key = 0110\nerror_threshold = 1.0\n"
+        "[eve]\nkind = guess_core\nweights = 0.45 0 0.35 0.2\n",
+        "c2a4266b2d27bc26071fec9122bd6bd604c4afbb550b8df3921466c8f32d8445",
+    ),
+    # The benchmark's bootstrap-sweep job (perfbench/workloads.py) at seed 3, in jsonl.
+    "bootstrap_sweep_jsonl": (
+        "[experiment]\nname = bootstrap-sweep\ntrials = 4\nseed = 3\nformat = jsonl\n"
+        "[session]\nmode = bootstrap\nn_blocks = 64\ncheck_fraction = 0.5\nerror_threshold = 0.1\n"
+        "[sweep]\nnoise = 0.0 0.05 0.1\nn_blocks = 64 128 512\n",
+        "23d6cac304e43ca15c9f90ffc07ec81d7bd1be3f9459d9206d95d6e0048714ae",
+    ),
+}
+
+# Standard output of each script under demos/, run in-process.
+PINNED_DEMO_SCRIPTS = {
+    "01_bell_pairs_and_correlations.py": "68037ec8491aedb7a05a61b620b2aec87605a6871375565817e676d13369c147",
+    "02_rearrangement_device.py": "f096d75446745483a1735bfc01e347f1b54ad4f6ed0a85e10ac39b61abfab38e",
+    "03_keyed_sessions_and_attacks.py": "728920117ee2936fba0a27fd262f40c014e418cd45c15bcccd85efbea6d56eef",
+    "04_bootstrap_key_generation.py": "ca15684f01a5aa6576e173ee5805c30a137cb367e567f8f7c306ef538a3015cc",
+    "05_security_table_and_sweeps.py": "c65abac45e261304133524165d494ae244f2639f727c6e65e0392cb6b7d319f7",
 }
 
 # Standard output of `coreqkd demo --blocks 3 --seed 7`, which prints every
@@ -278,6 +302,11 @@ class TestRngStreams:
     def test_report_bytes_are_pinned(self, name):
         text, digest = PINNED_REPORTS[name]
         assert report_digest(text) == digest
+
+    @pytest.mark.parametrize("script", PINNED_DEMO_SCRIPTS)
+    def test_demo_script_output_is_pinned(self, script, capsys):
+        runpy.run_path(str(ROOT / "demos" / script), run_name="__main__")
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == PINNED_DEMO_SCRIPTS[script]
 
     def test_demo_output_is_pinned(self, capsys):
         assert cli.main(["demo", "--blocks", "3", "--seed", "7"]) == 0
