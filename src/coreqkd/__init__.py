@@ -19,7 +19,7 @@ from .adversary import (
     probe_mean_bell_ensemble,
     probe_mean_fixed_state,
 )
-from .channel import TransitBlock, depolarize, transmit
+from .channel import depolarize, transmit
 from .harness import (
     ConfigError,
     ExperimentSpec,

@@ -50,7 +50,9 @@ from .quantum import (
     sample_index,
     tensor,
 )
-from .rearrange import ControlKey, CoreOp, CoreOpSet, GroupConfig, apply_core, invert_core, op_index_for_block
+from .rearrange import (
+    LOWER, UPPER, ControlKey, CoreOp, CoreOpSet, GroupConfig, apply_core, invert_core, op_index_for_block,
+)
 
 # Each kind with its own parameters; known_key's key group comes from the session.
 EVE_KINDS = {
@@ -324,14 +326,6 @@ def intercept(
 # Exact (sampling-free) analysis of the interception attack
 # ---------------------------------------------------------------------------
 
-def _block_register(symbols: Sequence[BellState]) -> tuple[StateVector, tuple[int, ...], tuple[int, ...]]:
-    """Register of a prepared block plus the upper/lower qubit ids per slot."""
-    register = tensor(*(bell_state(s) for s in symbols))
-    upper = tuple(2 * k for k in range(len(symbols)))
-    lower = tuple(2 * k + 1 for k in range(len(symbols)))
-    return register, upper, lower
-
-
 def _enumerate_attack_branches(
     register: StateVector, duos: Sequence[tuple[int, int]]
 ) -> list[tuple[float, StateVector]]:
@@ -359,12 +353,10 @@ def exact_guess_attack_pair_distributions(
     restored pair on Bob's side. Returns an array of shape (block, 4) whose
     row k is the distribution over Bell outcomes for pair k.
     """
-    register, upper, lower_base = _block_register(symbols)
-    lower = apply_core(true_op, lower_base)
-    eve_duos = list(zip(upper, invert_core(guess, lower)))
-    branches = _enumerate_attack_branches(register, eve_duos)
-    restored = invert_core(true_op, lower)
-    bob_duos = list(zip(upper, restored))
+    register = tensor(*(bell_state(s) for s in symbols))
+    lower = apply_core(true_op, LOWER)
+    branches = _enumerate_attack_branches(register, list(zip(UPPER, invert_core(guess, lower))))
+    bob_duos = list(zip(UPPER, invert_core(true_op, lower)))
     dists = np.zeros((len(symbols), 4))
     for weight, state in branches:
         for k, (qa, qb) in enumerate(bob_duos):
@@ -384,10 +376,9 @@ def attack_ensemble_register_density(
     symbols: Sequence[BellState], true_op: CoreOp, guess: CoreOp
 ) -> np.ndarray:
     """Average register density matrix over Eve's measurement branches."""
-    register, upper, lower_base = _block_register(symbols)
-    lower = apply_core(true_op, lower_base)
-    eve_duos = list(zip(upper, invert_core(guess, lower)))
-    branches = _enumerate_attack_branches(register, eve_duos)
+    register = tensor(*(bell_state(s) for s in symbols))
+    lower = apply_core(true_op, LOWER)
+    branches = _enumerate_attack_branches(register, list(zip(UPPER, invert_core(guess, lower))))
     dim = 1 << register.n_qubits
     rho = np.zeros((dim, dim), dtype=complex)
     for weight, state in branches:

@@ -4,12 +4,12 @@ Slots are abstract indices: after the interval-evening discipline all slots
 are equidistant and timing carries no information, so transport reduces to
 order-preserving bookkeeping plus state degradation. The upper channel
 always carries the preparation order; the lower channel carries whatever
-rearrangement the sender baked in. ``transmit`` itself never permutes.
+rearrangement the sender baked in. ``transmit`` itself never permutes: it
+takes the block register with the caller's slot-to-qubit orders and hands
+the register back.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,15 +19,6 @@ from .quantum import SIGMA_X, SIGMA_Y, SIGMA_Z, LabelRegister, StateVector, appl
 from .rearrange import CoreOpSet
 
 _PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
-
-
-@dataclass(frozen=True)
-class TransitBlock:
-    """One block in flight: the joint register and the slot-to-qubit orders."""
-
-    register: StateVector | LabelRegister
-    upper: tuple[int, ...]
-    lower: tuple[int, ...]
 
 
 def depolarize(
@@ -55,7 +46,9 @@ def depolarize(
 
 
 def transmit(
-    block: TransitBlock,
+    register: StateVector | LabelRegister,
+    upper: tuple[int, ...],
+    lower: tuple[int, ...],
     eve: EveStrategy | None,
     noise: float,
     rng: np.random.Generator,
@@ -63,20 +56,19 @@ def transmit(
     op_set: CoreOpSet,
     block_index: int = 0,
     log: EveLog | None = None,
-) -> tuple[TransitBlock, int | None]:
+) -> tuple[StateVector | LabelRegister, int | None]:
     """Transport one block through both insecure lines.
 
-    Applies the adversary strategy (if any), then per-qubit depolarizing
-    noise on every transmitted qubit; with no adversary and zero noise the
-    delivery is exact. Returns the delivered block and the adversary's
-    guessed op index, when the strategy guesses one.
+    Slot k travels as qubit ``upper[k]`` on the upper line and qubit
+    ``lower[k]`` on the lower one. Applies the adversary strategy (if any),
+    then per-qubit depolarizing noise on every transmitted qubit; with no
+    adversary and zero noise the delivery is exact. Returns the delivered
+    register and the adversary's guessed op index, when the strategy
+    guesses one.
     """
-    register = block.register
     guess: int | None = None
     if eve is not None and eve.kind != "none":
-        register, guess = adversary.intercept(
-            eve, register, block.upper, block.lower, block_index, op_set, rng, log
-        )
+        register, guess = adversary.intercept(eve, register, upper, lower, block_index, op_set, rng, log)
     if noise > 0.0:
-        register = depolarize(register, block.upper + block.lower, noise, rng)
-    return TransitBlock(register, block.upper, block.lower), guess
+        register = depolarize(register, upper + lower, noise, rng)
+    return register, guess

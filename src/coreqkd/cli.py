@@ -17,7 +17,7 @@ from .harness import (
     write_report,
 )
 from .protocol import SessionConfig, run_keyed_session
-from .rearrange import ControlKey
+from .rearrange import BLOCK_SIZE, ControlKey
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -51,19 +51,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
-    cfg = SessionConfig(
-        n_blocks=args.blocks,
-        control_key=ControlKey.from_indices([0, 1, 2, 3]),
-        check_fraction=0.25,
-        seed=args.seed,
-    )
-    print(f"keyed session, {cfg.n_blocks} blocks of {cfg.block_size} pairs, seed {cfg.seed}")
+    try:
+        key = ControlKey.from_indices([0, 1, 2, 3])
+        cfg = SessionConfig(n_blocks=args.blocks, control_key=key, check_fraction=0.25, seed=args.seed)
+    except ValueError as exc:
+        print(f"error: demo --blocks {args.blocks} --seed {args.seed}: {exc}", file=sys.stderr)
+        return 2
+    print(f"keyed session, {cfg.n_blocks} blocks of {BLOCK_SIZE} pairs, seed {cfg.seed}")
     print(f"control key bits: {cfg.control_key.as_bit_string()} "
           f"(op indices {list(cfg.control_key.op_indices)})")
     transcript = run_keyed_session(cfg)
-    size = cfg.block_size
     for block in transcript.blocks:
-        pairs = transcript.records[block.index * size : (block.index + 1) * size]
+        pairs = transcript.records[block.index * BLOCK_SIZE : (block.index + 1) * BLOCK_SIZE]
         prepared = " ".join(p.prepared.name for p in pairs)
         measured = " ".join(p.measured.name for p in pairs)
         op = cfg.op_set[block.alice_op]

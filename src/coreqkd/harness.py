@@ -154,8 +154,8 @@ REPORT_COLUMNS = tuple(f.name for f in fields(ReportRow))
 # The six columns that name a sweep cell are followed by (mean, standard
 # error) pairs, one per statistic of ``_trial_stats``.
 _STAT_COLUMNS = tuple(zip(REPORT_COLUMNS[6::2], REPORT_COLUMNS[7::2]))
-_INT_COLUMNS = {f.name for f in fields(ReportRow) if f.type == "int"}
-_STR_COLUMNS = {f.name for f in fields(ReportRow) if f.type == "str"}
+# Each column's type as ``ReportRow`` declares it: "str", "int", "float" or "float | None".
+_COLUMN_TYPES = {f.name: f.type for f in fields(ReportRow)}
 
 
 # ---------------------------------------------------------------------------
@@ -341,38 +341,67 @@ def emit_report(rows: Iterable[ReportRow], fmt: str = "csv") -> str:
 
 
 def parse_report(text: str, fmt: str = "csv") -> list[ReportRow]:
-    """Parse a report back into rows; inverse of ``emit_report``."""
-    rows = []
+    """Parse a report back into rows; inverse of ``emit_report``.
+
+    A malformed report raises a ``ConfigError`` naming its line and, where
+    one cell is at fault, the column.
+    """
+    lines: list[tuple[int, dict]] = []
     if fmt == "csv":
+        reader = csv.reader(io.StringIO(text, newline=""))
         try:
-            records = [r for r in csv.reader(io.StringIO(text, newline="")) if r]
+            records = [(reader.line_num, r) for r in reader if r]
         except csv.Error as exc:
-            raise ConfigError(f"bad CSV report: {exc}") from exc
-        if not records or tuple(records[0]) != REPORT_COLUMNS:
+            raise ConfigError(f"report line {reader.line_num}: bad CSV: {exc}") from exc
+        if not records or tuple(records[0][1]) != REPORT_COLUMNS:
             raise ConfigError("missing or unexpected CSV header")
-        for cells in records[1:]:
+        for line, cells in records[1:]:
             if len(cells) != len(REPORT_COLUMNS):
-                raise ConfigError(f"bad CSV row: {cells!r}")
-            rows.append(ReportRow(**{
-                c: _parse_cell(c, cell) for c, cell in zip(REPORT_COLUMNS, cells)
-            }))
-        return rows
-    if fmt == "jsonl":
-        for ln in text.splitlines():
+                raise ConfigError(f"report line {line}: {len(cells)} cells, expected {len(REPORT_COLUMNS)}")
+            lines.append((line, dict(zip(REPORT_COLUMNS, cells))))
+    elif fmt == "jsonl":
+        for line, ln in enumerate(text.splitlines(), 1):
             if ln.strip():
-                rows.append(ReportRow(**json.loads(ln)))
-        return rows
-    raise ConfigError(f"unknown report format {fmt!r}")
+                try:
+                    cells = json.loads(ln)
+                except ValueError as exc:
+                    raise ConfigError(f"report line {line}: bad JSON: {exc}") from exc
+                if not isinstance(cells, dict):
+                    raise ConfigError(f"report line {line}: not a JSON object")
+                lines.append((line, cells))
+    else:
+        raise ConfigError(f"unknown report format {fmt!r}")
+    rows = []
+    for line, cells in lines:
+        for column in (*cells, *REPORT_COLUMNS):
+            if (column in cells) != (column in _COLUMN_TYPES):
+                problem = "unknown" if column in cells else "missing"
+                raise ConfigError(f"report line {line}: {column}: {problem} column")
+        values = {}
+        for column in REPORT_COLUMNS:
+            try:
+                values[column] = _cell_value(column, cells[column], fmt == "csv")
+            except (ValueError, OverflowError) as exc:
+                raise ConfigError(f"report line {line}: {column}: {exc}") from exc
+        rows.append(ReportRow(**values))
+    return rows
 
 
-def _parse_cell(column: str, cell: str):
-    if column in _STR_COLUMNS:
-        return cell
-    if cell == "":
+def _cell_value(column: str, cell, from_csv: bool):
+    """``cell`` as a value of ``column``'s type: a csv cell is text (empty for None), a jsonl one JSON."""
+    kind = _COLUMN_TYPES[column]
+    if kind == "str":
+        if isinstance(cell, str):
+            return cell
+    elif from_csv:
+        if cell == "" and kind == "float | None":
+            return None
+        return int(cell) if kind == "int" else float(cell)
+    elif cell is None and kind == "float | None":
         return None
-    if column in _INT_COLUMNS:
-        return int(cell)
-    return float(cell)
+    elif type(cell) is int or (type(cell) is float and kind != "int"):
+        return cell if kind == "int" else float(cell)
+    raise ValueError(f"expected {kind}, got {cell!r}")
 
 
 def write_report(rows: Iterable[ReportRow], path: str, fmt: str = "csv") -> None:

@@ -10,10 +10,14 @@ key extraction (two bits per surviving pair).
 All randomness of a session flows from ``SessionConfig.seed``; a transcript
 is a deterministic function of the configuration.
 
+Every block holds ``rearrange.BLOCK_SIZE`` (four) pairs, slot k prepared
+on qubits ``UPPER[k]`` and ``LOWER[k]``; ``rearrange`` fixes that geometry,
+and nothing here takes it as a parameter.
+
 A ``SessionTranscript`` keeps its outcomes as read-only numpy columns. Per
 pair (``PairColumns``): the prepared and measured ``BellState`` values and
-the checked and sifted flags; pair i is slot ``i % block_size`` of block
-``i // block_size``. Per block (``BlockColumns``): Alice's op, Bob's op and
+the checked and sifted flags; pair i is slot k of block t for ``(t, k) =
+divmod(i, 4)``. Per block (``BlockColumns``): Alice's op, Bob's op and
 Eve's guessed op (-1 where she guessed none). Eve's own symbols, one per
 pair of every block she guessed, are a byte column of her ``EveLog``. The
 derived statistics are array reductions over these columns. Both column
@@ -54,14 +58,18 @@ import itertools
 import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
 from .adversary import EveLog, EveStrategy, probe_tables
-from .channel import _PAULIS, TransitBlock, transmit
+from .channel import _PAULIS, transmit
 from .quantum import BELL_STATES, BellState, LabelRegister, _pauli_flip, bell_measure, sample_rows
 from .quantum import tensor  # noqa: F401  perfbench's quantum.tensor span wraps this name
 from .rearrange import (
+    BLOCK_SIZE,
+    LOWER,
+    UPPER,
     ControlKey,
     CoreOpSet,
     GroupConfig,
@@ -96,18 +104,13 @@ class SessionConfig:
     noise: float = 0.0
     op_set: CoreOpSet = field(default_factory=CoreOpSet.cyclic)
     requested_key_bits: int | None = None
-
-    @property
-    def block_size(self) -> int:
-        return self.op_set.block_size
+    block_size: ClassVar[int] = BLOCK_SIZE  # not a field: perfbench's workloads read it
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
         if self.n_blocks < 1:
             raise ValueError("n_blocks must be >= 1")
-        if 2 * self.block_size > 8:
-            raise ValueError("block registers are capped at 8 qubits")
         if not 0.0 < self.check_fraction < 1.0:
             raise ValueError("check_fraction must lie in (0, 1)")
         if not 0.0 < self.error_threshold <= 1.0:
@@ -120,7 +123,7 @@ class SessionConfig:
             raise ValueError("requested_key_bits is for bootstrap sessions only")
         if self.requested_key_bits is not None and self.requested_key_bits < 2:
             raise ValueError("requested_key_bits must be >= 2")
-        n_pairs = self.n_blocks * self.block_size
+        n_pairs = self.n_blocks * BLOCK_SIZE
         if math.ceil(self.check_fraction * n_pairs) > n_pairs - 1:
             raise ValueError("check_fraction leaves no unchecked pair")
 
@@ -204,20 +207,18 @@ class _Columns(Sequence):
 
 
 class PairColumns(_Columns):
-    """Per-pair columns; pair i is slot ``i % block_size`` of block ``i // block_size``."""
+    """Per-pair columns; pair i is slot k of block t for ``(t, k) = divmod(i, BLOCK_SIZE)``."""
 
-    _fields = ("prepared", "measured", "checked", "sifted", "block_size")
+    _fields = ("prepared", "measured", "checked", "sifted")
 
-    def __init__(self, prepared, measured, checked, sifted, block_size: int):
+    def __init__(self, prepared, measured, checked, sifted):
         self.prepared = _column(prepared, np.uint8)
         self.measured = _column(measured, np.uint8)
         self.checked = _column(checked, bool)
         self.sifted = _column(sifted, bool)
-        self.block_size = block_size
 
     def _records(self, start, stop, step):
         rows = slice(start, stop, step)
-        size = self.block_size
         for i, p, m, c, s in zip(
             itertools.count(start, step),
             self.prepared[rows].tolist(),
@@ -225,7 +226,7 @@ class PairColumns(_Columns):
             self.checked[rows].tolist(),
             self.sifted[rows].tolist(),
         ):
-            yield PairRecord(i // size, i % size, BELL_STATES[p], BELL_STATES[m], c, s)
+            yield PairRecord(*divmod(i, BLOCK_SIZE), BELL_STATES[p], BELL_STATES[m], c, s)
 
     @classmethod
     def _pack(cls, records):
@@ -234,7 +235,6 @@ class PairColumns(_Columns):
             [r.measured.value for r in records],
             [r.checked for r in records],
             [r.sifted for r in records],
-            max((r.slot for r in records), default=0) + 1,
         )
 
 
@@ -298,7 +298,7 @@ class SessionTranscript:
     def __post_init__(self) -> None:
         object.__setattr__(self, "records", PairColumns.of(self.records))
         object.__setattr__(self, "blocks", BlockColumns.of(self.blocks))
-        if self.blocks and len(self.records) != len(self.blocks) * self.records.block_size:
+        if self.blocks and len(self.records) != len(self.blocks) * BLOCK_SIZE:
             raise ValueError("records do not fill the blocks")
 
     # -- derived statistics ------------------------------------------------
@@ -351,39 +351,32 @@ class SessionTranscript:
         wrong = (blocks.eve_guess >= 0) & (blocks.eve_guess != blocks.alice_op)
         if not wrong.any():
             return None
-        return self._share(np.repeat(wrong, self.records.block_size), False)
+        return self._share(np.repeat(wrong, BLOCK_SIZE), False)
 
     def eve_bit_accuracy(self) -> float | None:
         """Fraction of Alice's pair bits the interceptor recovered, slot aligned."""
         if self.eve_log is None or not self.eve_log.symbols:
             return None
         got = np.frombuffer(self.eve_log.symbols, dtype=np.uint8)
-        guessed = np.repeat(self.blocks.eve_guess >= 0, self.records.block_size)
+        guessed = np.repeat(self.blocks.eve_guess >= 0, BLOCK_SIZE)
         wrong_bits = _KEY_BITS[self.records.prepared[guessed] ^ got]
         total = 2 * len(got)
         return (total - int(np.count_nonzero(wrong_bits))) / total
 
 
-def alice_prepare_block(
-    rng: np.random.Generator, block_size: int = 4
-) -> tuple[list[BellState], LabelRegister]:
+def alice_prepare_block(rng: np.random.Generator) -> tuple[list[BellState], LabelRegister]:
     """Draw one block of Bell symbols uniformly and build its joint register.
 
-    Pair k occupies qubits (2k, 2k+1): the upper-channel half first. The
+    Pair k occupies qubits ``(UPPER[k], LOWER[k]) = (2k, 2k+1)``. The
     register is a ``LabelRegister``; its ``state()`` is the dense one.
 
-    The symbols are ``rng.integers(0, 4, size=block_size)``. For an even
-    block size they are read off ``block_size // 2`` raw 64-bit draws, low
-    32 bits first: numpy's Lemire method for range 4 maps a 32-bit draw u to
-    u >> 30 and never rejects. That is the same stream for a PCG64 generator
-    holding no buffered 32-bit half, as in every session: the ops of a
-    bootstrap session take an even number of halves.
+    The symbols are ``rng.integers(0, 4, size=4)``, read off 2 raw 64-bit
+    draws, low 32 bits first: numpy's Lemire method for range 4 maps a
+    32-bit draw u to u >> 30 and never rejects. That is the same stream for
+    a PCG64 generator holding no buffered 32-bit half, as in every session:
+    the ops of a bootstrap session take an even number of halves.
     """
-    if block_size % 2:
-        values = rng.integers(0, 4, size=block_size).tolist()
-    else:
-        raws = rng.bit_generator.random_raw(block_size // 2).tolist()
-        values = [v for r in raws for v in _raw_labels(r)]
+    values = [v for r in rng.bit_generator.random_raw(BLOCK_SIZE // 2).tolist() for v in _raw_labels(r)]
     return [BELL_STATES[v] for v in values], LabelRegister(values)
 
 
@@ -418,7 +411,7 @@ def _check_records(
         threshold=threshold,
         checked_count=n_check,
     )
-    marked = PairColumns(pairs.prepared, pairs.measured, checked, pairs.sifted, pairs.block_size)
+    marked = PairColumns(pairs.prepared, pairs.measured, checked, pairs.sifted)
     return verdict, marked
 
 
@@ -455,34 +448,20 @@ def _run_blocks(
     prepared: list[int] = []
     measured: list[int] = []
     eve_guess: list[int] = []
-    op_set, size = cfg.op_set, cfg.block_size
-    upper = tuple(range(0, 2 * size, 2))
-    lower_prepared = tuple(range(1, 2 * size, 2))
+    op_set = cfg.op_set
     for t in range(cfg.n_blocks):
-        a_op = op_set[alice_ops[t]]
-        b_op = op_set[bob_ops[t]]
-        symbols, register = alice_prepare_block(rng, size)
-        lower = apply_core(a_op, lower_prepared)
-        delivered, guess = transmit(
-            TransitBlock(register, upper, lower),
-            cfg.eve,
-            cfg.noise,
-            rng,
-            op_set=op_set,
-            block_index=t,
-            log=log,
+        symbols, register = alice_prepare_block(rng)
+        lower = apply_core(op_set[alice_ops[t]], LOWER)
+        register, guess = transmit(
+            register, UPPER, lower, cfg.eve, cfg.noise, rng, op_set=op_set, block_index=t, log=log
         )
-        restored = invert_core(b_op, delivered.lower)
-        register = delivered.register
-        for k in range(size):
-            outcome, register = bell_measure(
-                register, delivered.upper[k], restored[k], rng
-            )
+        for qa, qb in zip(UPPER, invert_core(op_set[bob_ops[t]], lower)):
+            outcome, register = bell_measure(register, qa, qb, rng)
             measured.append(outcome._value_)  # the Enum attribute, without the property call
         prepared += [s._value_ for s in symbols]
         eve_guess.append(-1 if guess is None else guess)
-    sifted = np.repeat(np.equal(alice_ops, bob_ops), size)
-    pairs = PairColumns(prepared, measured, np.zeros(len(measured), bool), sifted, size)
+    sifted = np.repeat(np.equal(alice_ops, bob_ops), BLOCK_SIZE)
+    pairs = PairColumns(prepared, measured, np.zeros(len(measured), bool), sifted)
     return pairs, BlockColumns(alice_ops, bob_ops, eve_guess), log
 
 
@@ -499,7 +478,7 @@ def _session_tape(
     for noise when ``noise > 0`` and 4 for Bob. Returns the prepared labels,
     Eve's uniforms, the label XOR noise left on each pair and Bob's uniforms.
     """
-    n, size = cfg.n_blocks, cfg.block_size
+    n, size = cfg.n_blocks, BLOCK_SIZE
     half = size // 2
     noisy = cfg.noise > 0.0
     draws = half + eve_draws + (2 * size if noisy else 0) + size
@@ -527,7 +506,7 @@ def _keyed_columns(
 ) -> tuple[PairColumns, BlockColumns]:
     """The columns of a keyed session: every pair sifted, none checked yet, no guess."""
     flags = np.zeros(labels.size, bool)
-    pairs = PairColumns(labels.ravel(), measured.ravel(), flags, ~flags, labels.shape[1])
+    pairs = PairColumns(labels.ravel(), measured.ravel(), flags, ~flags)
     return pairs, BlockColumns(ops, ops, np.full(len(ops), -1))
 
 

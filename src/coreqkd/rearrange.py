@@ -6,6 +6,11 @@ is reordered by one of four permutations selected by two control-key bits.
 ``schedule_to_perm``/``perm_to_schedule`` connect them to a concrete
 switch-and-delay-loop device model simulated in discrete time slots.
 
+This module is the one home of the block geometry: every block holds
+``BLOCK_SIZE`` (four) pairs, slot k's upper and lower halves are qubits
+``UPPER[k]`` and ``LOWER[k]`` of the block register, and ``CoreOpSet``
+refuses permutations of any other length.
+
 Declared device geometry (a named, swappable model):
 
 A single fibre delay loop of ``loop_delay`` slots hangs off the direct line
@@ -45,7 +50,13 @@ PASS_TRIPLE = (UP, UP, DOWN)       # direct line, exits in the arrival slot
 DELAY_ONE_TRIPLE = (DOWN, UP, UP)   # one loop circuit
 DELAY_TWO_TRIPLE = (DOWN, UP, DOWN)  # one circuit plus a deflection circuit
 
-DEFAULT_BLOCK_SIZE = 4
+# An op set is the identity plus three distinct derangements, which takes at
+# least four pairs (three have only two derangements), and a block register is
+# capped at 8 qubits. So every block holds four pairs, pair k on qubits
+# (2k, 2k+1): the upper half first.
+BLOCK_SIZE = 4
+UPPER = (0, 2, 4, 6)
+LOWER = (1, 3, 5, 7)
 
 
 class CollisionError(RuntimeError):
@@ -76,10 +87,6 @@ class CoreOp:
         if sorted(self.perm) != list(range(len(self.perm))):
             raise ValueError(f"{self.perm!r} is not a permutation")
 
-    @property
-    def block_size(self) -> int:
-        return len(self.perm)
-
     @functools.cached_property
     def inverse_perm(self) -> tuple[int, ...]:
         inv = [0] * len(self.perm)
@@ -94,24 +101,20 @@ class CoreOp:
         return all(p != i for i, p in enumerate(self.perm))
 
 
-def _cyclic_perm(shift: int, size: int) -> tuple[int, ...]:
-    return tuple((p + shift) % size for p in range(size))
-
-
 class CoreOpSet:
     """The four rearrangement operations available to a session.
 
-    Index 0 must be the identity and indices 1..3 must be pairwise distinct
-    derangements, so that every wrong choice misaligns every pair.
+    Every op acts on the ``BLOCK_SIZE`` pairs of a block. Index 0 must be the
+    identity and indices 1..3 must be pairwise distinct derangements, so that
+    every wrong choice misaligns every pair.
     """
 
     def __init__(self, perms: Sequence[Sequence[int]]):
         if len(perms) != 4:
             raise ValueError("an op set holds exactly four permutations")
         ops = tuple(CoreOp(i, tuple(p)) for i, p in enumerate(perms))
-        size = ops[0].block_size
-        if any(op.block_size != size for op in ops):
-            raise ValueError("all permutations must act on the same block size")
+        if any(len(op.perm) != BLOCK_SIZE for op in ops):
+            raise ValueError(f"block registers are capped at 8 qubits, so every op permutes {BLOCK_SIZE} pairs")
         if not ops[0].is_identity():
             raise ValueError("op 0 must be the identity permutation")
         for op in ops[1:]:
@@ -120,12 +123,11 @@ class CoreOpSet:
         if len({op.perm for op in ops}) != 4:
             raise ValueError("permutations must be pairwise distinct")
         self.ops = ops
-        self.block_size = size
 
     @classmethod
     def cyclic(cls) -> "CoreOpSet":
         """Default set: cyclic shifts by 0, 1, 2, 3 of a block of four."""
-        return cls([_cyclic_perm(s, DEFAULT_BLOCK_SIZE) for s in range(4)])
+        return cls([[(p + s) % BLOCK_SIZE for p in range(BLOCK_SIZE)] for s in range(4)])
 
     def __getitem__(self, index: int) -> CoreOp:
         return self.ops[index]
@@ -139,15 +141,15 @@ class CoreOpSet:
 
 def apply_core(op: CoreOp, block: Sequence[T]) -> tuple[T, ...]:
     """Rearrange a block: output position p carries input element perm[p]."""
-    if len(block) != op.block_size:
-        raise ValueError(f"block length {len(block)} != op block size {op.block_size}")
+    if len(block) != len(op.perm):
+        raise ValueError(f"block length {len(block)} != op block size {len(op.perm)}")
     return tuple(block[src] for src in op.perm)
 
 
 def invert_core(op: CoreOp, block: Sequence[T]) -> tuple[T, ...]:
     """Undo ``apply_core``: invert_core(op, apply_core(op, b)) == b."""
-    if len(block) != op.block_size:
-        raise ValueError(f"block length {len(block)} != op block size {op.block_size}")
+    if len(block) != len(op.perm):
+        raise ValueError(f"block length {len(block)} != op block size {len(op.perm)}")
     return tuple(block[src] for src in op.inverse_perm)
 
 
@@ -239,8 +241,8 @@ class SwitchSchedule:
         return len(self.triples)
 
     @classmethod
-    def uniform(cls, triple: Triple, block_size: int = DEFAULT_BLOCK_SIZE) -> "SwitchSchedule":
-        return cls(tuple(triple for _ in range(block_size)))
+    def uniform(cls, triple: Triple) -> "SwitchSchedule":
+        return cls((triple,) * BLOCK_SIZE)
 
 
 @dataclass(frozen=True)
@@ -252,7 +254,7 @@ class DeviceModel:
     cyclic shift of a block. ``max_circuits`` is the dwell budget.
     """
 
-    loop_delay: int = DEFAULT_BLOCK_SIZE
+    loop_delay: int = BLOCK_SIZE
     max_circuits: int = 2
 
     def __post_init__(self) -> None:

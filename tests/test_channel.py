@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from coreqkd import channel
-from coreqkd.adversary import EveStrategy
-from coreqkd.channel import TransitBlock, depolarize, transmit
+from coreqkd.channel import depolarize, transmit
 from coreqkd.protocol import ControlKey, SessionConfig, run_keyed_session
 from coreqkd.quantum import (
     SIGMA_X,
@@ -17,7 +16,7 @@ from coreqkd.quantum import (
     bell_state,
     tensor,
 )
-from coreqkd.rearrange import CoreOpSet
+from coreqkd.rearrange import LOWER, UPPER, CoreOpSet
 
 
 def two_sided_depolarized_error(p: float) -> float:
@@ -30,35 +29,22 @@ def two_sided_depolarized_error(p: float) -> float:
     return 1.0 - ((1.0 - 0.75 * p) ** 2 + 3.0 * (p / 4.0) ** 2)
 
 
-def make_block(rng, symbols=None):
-    symbols = symbols or [BellState(int(v)) for v in rng.integers(0, 4, size=4)]
-    register = tensor(*(bell_state(s) for s in symbols))
-    upper = tuple(2 * k for k in range(4))
-    lower = tuple(2 * k + 1 for k in range(4))
-    return symbols, TransitBlock(register, upper, lower)
+def make_register(rng):
+    return tensor(*(bell_state(BellState(int(v))) for v in rng.integers(0, 4, size=4)))
 
 
 class TestTransmitIdentity:
     def test_clean_channel_is_bit_identical(self):
         rng = np.random.default_rng(1)
-        _, block = make_block(rng)
-        delivered, guess = transmit(block, None, 0.0, rng, op_set=CoreOpSet.cyclic())
+        register = make_register(rng)
+        delivered, guess = transmit(register, UPPER, LOWER, None, 0.0, rng, op_set=CoreOpSet.cyclic())
         assert guess is None
-        assert np.array_equal(delivered.register.amps, block.register.amps)
-
-    def test_orders_pass_through_untouched(self):
-        rng = np.random.default_rng(2)
-        _, block = make_block(rng)
-        delivered, _ = transmit(
-            block, EveStrategy.guess_core(), 0.2, rng, op_set=CoreOpSet.cyclic()
-        )
-        assert delivered.upper == block.upper
-        assert delivered.lower == block.lower
+        assert np.array_equal(delivered.amps, register.amps)
 
     def test_zero_noise_depolarize_is_identity(self):
         rng = np.random.default_rng(3)
-        _, block = make_block(rng)
-        assert depolarize(block.register, block.upper, 0.0, rng) is block.register
+        register = make_register(rng)
+        assert depolarize(register, UPPER, 0.0, rng) is register
 
 
 class TestDepolarizingNoise:

@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import json
 import math
 import re
 import runpy
@@ -430,6 +431,40 @@ class TestReports:
         assert emit_report(parse_report(text, "csv"), "csv") == text
 
 
+ROW = ReportRow("x", 0.1, "none", 1, 10, 2, *[0.5] * (len(REPORT_COLUMNS) - 6))
+
+
+def jsonl_report(**changes) -> str:
+    """A two-row jsonl report whose second row has the given keys set, or removed where None is given."""
+    cells = json.loads(emit_report([ROW], "jsonl"))
+    cells.update(changes)
+    cells = {k: v for k, v in cells.items() if v is not None}
+    return emit_report([ROW], "jsonl") + json.dumps(cells) + "\n"
+
+
+def csv_report(column: str, cell: str) -> str:
+    """A two-row csv report whose second row holds ``cell`` in ``column``."""
+    values = [cell if c == column else str(getattr(ROW, c)) for c in REPORT_COLUMNS]
+    return emit_report([ROW], "csv") + ",".join(values) + "\n"
+
+
+# Reports that must fail to parse, each with the line and column its message has to name.
+MALFORMED_REPORTS = {
+    "jsonl_missing_key": ("jsonl", jsonl_report(n_k=None), r"line 2: n_k: missing column"),
+    "jsonl_unknown_key": ("jsonl", jsonl_report(colour=1), r"line 2: colour: unknown column"),
+    "jsonl_string_int": ("jsonl", jsonl_report(n_blocks="2"), r"line 2: n_blocks: expected int, got '2'"),
+    "jsonl_float_int": ("jsonl", jsonl_report(trials=2.0), r"line 2: trials: expected int"),
+    "jsonl_bool_float": ("jsonl", jsonl_report(noise=True), r"line 2: noise: expected float"),
+    "jsonl_string_name": ("jsonl", jsonl_report(eve=3), r"line 2: eve: expected str"),
+    "jsonl_not_json": ("jsonl", emit_report([ROW], "jsonl") + "{n_k: 1}\n", r"line 2: bad JSON"),
+    "jsonl_not_an_object": ("jsonl", emit_report([ROW], "jsonl") + '[["n_k", 1]]\n', r"line 2: not a JSON object"),
+    "csv_bad_int": ("csv", csv_report("n_blocks", "ten"), r"line 3: n_blocks: invalid literal"),
+    "csv_bad_float": ("csv", csv_report("key_bits", "lots"), r"line 3: key_bits: could not convert"),
+    "csv_empty_int": ("csv", csv_report("n_k", ""), r"line 3: n_k: invalid literal"),
+    "csv_short_row": ("csv", emit_report([ROW], "csv") + "x,0.1\n", r"line 3: 2 cells, expected 18"),
+}
+
+
 cells = st.one_of(st.none(), st.floats(allow_nan=False, allow_infinity=False))
 
 
@@ -445,6 +480,14 @@ def report_rows(draw):
         trials=draw(st.integers(0, 2**40)),
         **stats,
     )
+
+
+class TestMalformedReports:
+    @pytest.mark.parametrize("name", MALFORMED_REPORTS)
+    def test_bad_report_fails_naming_its_line_and_column(self, name):
+        fmt, text, names = MALFORMED_REPORTS[name]
+        with pytest.raises(ConfigError, match=names):
+            parse_report(text, fmt)
 
 
 class TestReportRoundTrip:
@@ -481,15 +524,17 @@ class TestCli:
         assert main(["run", str(spec_path)]) == 2
 
     @pytest.mark.parametrize("text, args, names_key", [
-        ("[experiment]\nseed = -1\n" + SESSION, [], r"\[experiment\] seed"),
-        (SESSION + "[sweep]\neve = foo\n", [], r"\[sweep\] cell 0"),
-        (SESSION, ["--seed", "-1"], r"seed"),
-    ], ids=["negative_seed", "sweep_eve", "seed_flag"])
+        ("[experiment]\nseed = -1\n" + SESSION, ["run", "{spec}"], r"\[experiment\] seed"),
+        (SESSION + "[sweep]\neve = foo\n", ["run", "{spec}"], r"\[sweep\] cell 0"),
+        (SESSION, ["run", "{spec}", "--seed", "-1"], r"seed"),
+        ("", ["demo", "--blocks", "0"], r"--blocks 0 .*n_blocks must be >= 1"),
+        ("", ["demo", "--seed", "-1"], r"--seed -1: seed must be"),
+    ], ids=["negative_seed", "sweep_eve", "seed_flag", "demo_blocks_flag", "demo_seed_flag"])
     def test_bad_input_exits_2_without_a_traceback(self, tmp_path, text, args, names_key):
         spec_path = tmp_path / "exp.ini"
         spec_path.write_text(text)
         proc = subprocess.run(
-            [sys.executable, "-m", "coreqkd", "run", str(spec_path), *args],
+            [sys.executable, "-m", "coreqkd", *(a.format(spec=spec_path) for a in args)],
             capture_output=True,
             text=True,
         )

@@ -43,9 +43,9 @@ KEY_ALL_OPS = ControlKey.from_indices([0, 1, 2, 3])
 
 
 def synthetic_transcript(pairs, checked=(), verdict=None):
-    """Build a keyed transcript from (prepared, measured) tuples."""
+    """Build a keyed transcript from (prepared, measured) tuples; pair i is slot ``i % 4`` of block ``i // 4``."""
     records = tuple(
-        PairRecord(0, i, prep, meas, checked=i in checked)
+        PairRecord(*divmod(i, 4), prep, meas, checked=i in checked)
         for i, (prep, meas) in enumerate(pairs)
     )
     return SessionTranscript(mode="keyed", records=records, blocks=(), verdict=verdict)
@@ -65,9 +65,8 @@ class TestConfigValidation:
             SessionConfig(n_blocks=1, control_key=KEY_ALL_OPS, check_fraction=0.99)
 
     def test_register_cap(self):
-        five = CoreOpSet([[(p + s) % 5 for p in range(5)] for s in range(4)])
         with pytest.raises(ValueError, match="8 qubits"):
-            SessionConfig(n_blocks=1, control_key=KEY_ALL_OPS, op_set=five)
+            CoreOpSet([[(p + s) % 5 for p in range(5)] for s in range(4)])
 
     def test_noise_range(self):
         with pytest.raises(ValueError, match="noise"):
@@ -98,9 +97,9 @@ class TestPrepareBlock:
             assert probs[s.value] == pytest.approx(1.0, abs=1e-12)
 
 
-def integers_prepare(rng, block_size=4):
+def integers_prepare(rng):
     """The reference draw: one ``rng.integers`` call per block."""
-    values = rng.integers(0, 4, size=block_size).tolist()
+    values = rng.integers(0, 4, size=4).tolist()
     return [BellState(v) for v in values], LabelRegister(values)
 
 
@@ -110,9 +109,9 @@ class TestPrepareStream:
     def test_symbols_and_generator_state_match_rng_integers(self):
         for seed in range(1000):
             fast, reference = np.random.default_rng(seed), np.random.default_rng(seed)
-            for block_size in (4, 2, 4, 3, 3, 4):
-                symbols, register = alice_prepare_block(fast, block_size)
-                expected, _ = integers_prepare(reference, block_size)
+            for _ in range(3):
+                symbols, register = alice_prepare_block(fast)
+                expected, _ = integers_prepare(reference)
                 assert symbols == expected
                 assert register == LabelRegister([s.value for s in expected])
                 state, state_ref = fast.bit_generator.state, reference.bit_generator.state
@@ -382,8 +381,8 @@ def dense_session_result(cfg: SessionConfig):
     """The same session on the per-block engine with every block prepared as a dense state vector."""
     prepare = alice_prepare_block
 
-    def dense_prepare(rng, block_size=4):
-        symbols, register = prepare(rng, block_size)
+    def dense_prepare(rng):
+        symbols, register = prepare(rng)
         assert isinstance(register, LabelRegister)
         return symbols, register.state()
 
@@ -710,9 +709,8 @@ class TestColumnarTranscript:
     def test_statistics_match_the_record_loops(self, cfg, n_blocks):
         t = transcript_of(replace(cfg, n_blocks=n_blocks))
         assert same_values(column_stats(t), reference_stats(t))
-        size = cfg.block_size
         assert all(r.sifted == t.blocks[r.block].sifted for r in t.records)
-        assert [(r.block, r.slot) for r in t.records] == [divmod(i, size) for i in range(t.n_pairs)]
+        assert [(r.block, r.slot) for r in t.records] == [divmod(i, 4) for i in range(t.n_pairs)]
         assert [b.index for b in t.blocks] == list(range(n_blocks))
 
     @settings(max_examples=40, deadline=None)
@@ -737,7 +735,7 @@ class TestColumnarTranscript:
             with pytest.raises(IndexError):
                 view[len(items)]
             assert view[0] is not view[0]
-        assert set(vars(t.records)) == {"prepared", "measured", "checked", "sifted", "block_size"}
+        assert set(vars(t.records)) == {"prepared", "measured", "checked", "sifted"}
         assert set(vars(t.blocks)) == {"alice_op", "bob_op", "eve_guess"}
         with pytest.raises(ValueError):
             t.records.measured[0] = 0
@@ -755,7 +753,7 @@ class TestColumnarTranscript:
         data = np.random.default_rng(seed)
         prepared = data.integers(0, 4, size=n)
         measured = np.where(data.random(n) < 0.3, data.integers(0, 4, size=n), prepared)
-        pairs = PairColumns(prepared, measured, np.zeros(n, bool), np.ones(n, bool), 4)
+        pairs = PairColumns(prepared, measured, np.zeros(n, bool), np.ones(n, bool))
         pool = np.flatnonzero(data.random(n) < data.random())
         if not pool.size:
             pool = np.array([n - 1])
