@@ -6,6 +6,8 @@ blocks happen to match and survive the public comparison. The receiver's
 measured bits on surviving blocks become the candidate control key.
 """
 
+import numpy as np
+
 from coreqkd import ControlKey, SessionConfig, run_bootstrap_session
 
 cfg = SessionConfig(
@@ -20,8 +22,9 @@ cfg = SessionConfig(
 
 key, transcript = run_bootstrap_session(cfg)
 
-sifted_blocks = sum(1 for b in transcript.blocks if b.sifted)
-print(f"blocks transmitted      : {len(transcript.blocks)}")
+blocks = transcript.blocks
+sifted_blocks = int(np.count_nonzero(blocks.alice_op == blocks.bob_op))
+print(f"blocks transmitted      : {len(blocks)}")
 print(f"blocks with matching ops: {sifted_blocks}  "
       f"(sift rate {transcript.sift_rate:.4f}, expected 0.25)")
 print(f"sifted-pair agreement   : {transcript.agreement_rate(sifted=True)}")

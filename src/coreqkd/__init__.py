@@ -16,8 +16,6 @@ from .adversary import (
     eve_guess_core_attack,
     exact_guess_attack_pair_distributions,
     exact_guess_attack_pair_errors,
-    probe_mean_bell_ensemble,
-    probe_mean_fixed_state,
 )
 from .channel import depolarize, transmit
 from .harness import (

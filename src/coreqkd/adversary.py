@@ -5,17 +5,16 @@ parties: a measure-and-reprepare attack that guesses the rearrangement
 (``guess_core``), the same attack driven by a key Eve already holds
 (``known_key``), and a two-outcome correlation probe along arbitrary
 directions (``bell_probe``). Strategies never touch the authenticated
-classical channel.
+classical channel, and a session with no Eve has ``eve = None``.
 
-``exact_guess_attack_pair_distributions`` reproduces the attack with exact
-Born probabilities (no sampling) by enumerating every branch of Eve's
-measurement, for the closed-form error checks.
-
-``probe_tables`` holds the exact outcome probabilities of a keyed block
-probed on one duo: the probe's two branches and Bob's Bell outcomes on the
-probed pairs, computed once per direction pair on the dense core. A keyed
-session with a one-duo probe samples from them instead of running
-``eve_bell_probe`` block by block.
+Each attack has one model. ``exact_guess_attack_pair_distributions``
+enumerates every branch of the interception's Bell measurements with exact
+Born probabilities, for the closed-form error checks. The probe,
+``eve_bell_probe``, is one dense step on either register type through
+``quantum.on_core``. ``probe_tables`` holds its exact outcome probabilities
+on a keyed block probed on one duo, by core row (``probe_table_rows``),
+computed once per direction pair: a keyed one-duo probe session samples
+from them, and the paper's probe ensemble means are averages of their rows.
 """
 
 from __future__ import annotations
@@ -39,14 +38,12 @@ from .quantum import (
     _bell_coefficients,
     _from_front,
     _to_front,
-    absorb,
     bell_measure,
     bell_outcome_probabilities,
     bell_project,
     bell_state,
     correlation_operator,
-    expectation,
-    mismatched_pair_density,
+    on_core,
     sample_index,
     tensor,
 )
@@ -56,7 +53,6 @@ from .rearrange import (
 
 # Each kind with its own parameters; known_key's key group comes from the session.
 EVE_KINDS = {
-    "none": (),
     "guess_core": ("weights",),
     "known_key": ("key",),
     "bell_probe": ("a", "b", "budget"),
@@ -90,10 +86,6 @@ class EveStrategy:
                 raise ValueError("bell_probe strategy needs two directions")
             if self.budget < 1:
                 raise ValueError("budget must be >= 1")
-
-    @classmethod
-    def none(cls) -> "EveStrategy":
-        return cls(kind="none")
 
     @classmethod
     def guess_core(cls, weights: Sequence[float] | None = None) -> "EveStrategy":
@@ -193,21 +185,26 @@ def _probe_projectors(a: Direction, b: Direction) -> tuple[np.ndarray, np.ndarra
 
 
 def eve_bell_probe(
-    register: StateVector,
+    register: StateVector | LabelRegister,
     qubit_a: int,
     qubit_b: int,
     a: Direction,
     b: Direction,
     rng: np.random.Generator,
-) -> tuple[int, StateVector]:
+) -> tuple[int, StateVector | LabelRegister]:
     """Measure the two-outcome observable (sigma.a)(x)(sigma.b) on one duo.
 
-    Returns the sampled eigenvalue (+1 or -1) and the collapsed register.
+    Returns the sampled eigenvalue (+1 or -1) and the collapsed register, of
+    the type given. The probe is not Clifford, so it runs densely, through
+    ``quantum.on_core``.
     """
-    duo = (qubit_a, qubit_b)
-    branches, probs = _probe_branches(register, duo, a, b)
-    k = sample_index(probs, rng)
-    return (1 if k == 0 else -1), _probe_collapse(register, duo, branches[k], probs[k])
+
+    def probe(state: StateVector, *duo: int) -> tuple[int, StateVector]:
+        branches, probs = _probe_branches(state, duo, a, b)
+        k = sample_index(probs, rng)
+        return (1 if k == 0 else -1), _probe_collapse(state, duo, branches[k], probs[k])
+
+    return on_core(register, (qubit_a, qubit_b), probe)
 
 
 def _probe_branches(
@@ -231,6 +228,12 @@ def _probe_collapse(
 # lower half of pair j = perm[0], whose core is pairs 0 and j on the qubits
 # (0, 1, 2j, 2j+1), probed on core positions (0, 3) (row 4 + 4*L0 + Lj).
 PROBE_TABLE_ROWS = 20
+
+
+def probe_table_rows(labels: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """The ``probe_tables`` row of each block, from its (n, 4) labels and the pair ``j = perm[0]`` probed with pair 0."""
+    l0 = labels[:, 0]
+    return np.where(j == 0, l0, 4 + 4 * l0 + labels[np.arange(len(j)), j])
 
 
 @functools.lru_cache(maxsize=64)
@@ -289,8 +292,6 @@ def intercept(
     Returns the forwarded register and, for rearrangement-guessing attacks,
     the guessed op index.
     """
-    if strategy.kind == "none":
-        return register, None
     if strategy.kind in ("guess_core", "known_key"):
         if strategy.kind == "guess_core":
             weights = strategy.weights or (0.25, 0.25, 0.25, 0.25)
@@ -304,19 +305,11 @@ def intercept(
         if log is not None:
             log.symbols.extend(s._value_ for s in symbols)
         return register, guess_index
-    # bell_probe: interrogate slot-aligned duos, one per budget unit. The
-    # probe is not Clifford, so it runs densely on the core holding its duo.
+    # bell_probe: interrogate slot-aligned duos, one per budget unit.
     a, b = strategy.a, strategy.b
     assert a is not None and b is not None
     for slot in range(min(strategy.budget, len(upper))):
-        duo = (upper[slot], lower[slot])
-        if isinstance(register, LabelRegister):
-            register = absorb(register, duo)
-            where = register.core_qubits.index
-            outcome, core = eve_bell_probe(register.core, where(duo[0]), where(duo[1]), a, b, rng)
-            register = register.with_core(core)
-        else:
-            outcome, register = eve_bell_probe(register, *duo, a, b, rng)
+        outcome, register = eve_bell_probe(register, upper[slot], lower[slot], a, b, rng)
         if log is not None:
             log.add_probe(block_index, slot, outcome)
     return register, None
@@ -370,65 +363,3 @@ def exact_guess_attack_pair_errors(
     """Exact probability, per pair, that Bob's outcome differs from Alice's."""
     dists = exact_guess_attack_pair_distributions(symbols, true_op, guess)
     return np.array([1.0 - dists[k][s.value] for k, s in enumerate(symbols)])
-
-
-def attack_ensemble_register_density(
-    symbols: Sequence[BellState], true_op: CoreOp, guess: CoreOp
-) -> np.ndarray:
-    """Average register density matrix over Eve's measurement branches."""
-    register = tensor(*(bell_state(s) for s in symbols))
-    lower = apply_core(true_op, LOWER)
-    branches = _enumerate_attack_branches(register, list(zip(UPPER, invert_core(guess, lower))))
-    dim = 1 << register.n_qubits
-    rho = np.zeros((dim, dim), dtype=complex)
-    for weight, state in branches:
-        rho += weight * np.outer(state.amps, state.amps.conj())
-    return rho
-
-
-# ---------------------------------------------------------------------------
-# Batched probe statistics
-# ---------------------------------------------------------------------------
-
-def probe_plus_probability(rho: np.ndarray, a: Direction, b: Direction) -> float:
-    """Born probability of the +1 outcome of the correlation observable."""
-    op = correlation_operator(a, b)
-    p = float(np.trace(((np.eye(4) + op) / 2.0) @ rho).real)
-    return min(max(p, 0.0), 1.0)
-
-
-def _sample_probe_outcomes(
-    p_plus: np.ndarray | float, n: int, rng: np.random.Generator
-) -> np.ndarray:
-    return np.where(rng.random(n) < p_plus, 1, -1)
-
-
-def probe_mean_bell_ensemble(
-    pairing: str, a: Direction, b: Direction, n: int, rng: np.random.Generator
-) -> float:
-    """Mean probe outcome over blocks prepared uniformly in the Bell states.
-
-    ``pairing`` is ``"matched"`` (Eve probes a genuine pair) or
-    ``"mismatched"`` (halves of two different pairs). Outcomes are sampled
-    from the exact single-shot Born probabilities of each scenario.
-    """
-    if pairing == "matched":
-        p_plus_by_symbol = np.array(
-            [(1.0 + expectation(bell_state(s), a, b)) / 2.0 for s in BellState]
-        )
-        symbols = rng.integers(0, 4, size=n)
-        outcomes = _sample_probe_outcomes(p_plus_by_symbol[symbols], n, rng)
-    elif pairing == "mismatched":
-        p_plus = probe_plus_probability(mismatched_pair_density(), a, b)
-        outcomes = _sample_probe_outcomes(p_plus, n, rng)
-    else:
-        raise ValueError("pairing must be 'matched' or 'mismatched'")
-    return float(outcomes.mean())
-
-
-def probe_mean_fixed_state(
-    symbol: BellState, a: Direction, b: Direction, n: int, rng: np.random.Generator
-) -> float:
-    """Mean probe outcome over repeated preparations of one fixed Bell state."""
-    p_plus = (1.0 + expectation(bell_state(symbol), a, b)) / 2.0
-    return float(_sample_probe_outcomes(min(max(p_plus, 0.0), 1.0), n, rng).mean())

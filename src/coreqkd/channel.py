@@ -67,7 +67,7 @@ def transmit(
     guesses one.
     """
     guess: int | None = None
-    if eve is not None and eve.kind != "none":
+    if eve is not None:
         register, guess = adversary.intercept(eve, register, upper, lower, block_index, op_set, rng, log)
     if noise > 0.0:
         register = depolarize(register, upper + lower, noise, rng)

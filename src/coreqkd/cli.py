@@ -17,6 +17,7 @@ from .harness import (
     write_report,
 )
 from .protocol import SessionConfig, run_keyed_session
+from .quantum import BELL_STATES
 from .rearrange import BLOCK_SIZE, ControlKey
 
 
@@ -61,16 +62,13 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     print(f"control key bits: {cfg.control_key.as_bit_string()} "
           f"(op indices {list(cfg.control_key.op_indices)})")
     transcript = run_keyed_session(cfg)
-    for block in transcript.blocks:
-        pairs = transcript.records[block.index * BLOCK_SIZE : (block.index + 1) * BLOCK_SIZE]
-        prepared = " ".join(p.prepared.name for p in pairs)
-        measured = " ".join(p.measured.name for p in pairs)
-        op = cfg.op_set[block.alice_op]
-        print(f"block {block.index}: op E{block.alice_op} perm={op.perm}")
-        print(f"  prepared: {prepared}")
-        print(f"  measured: {measured}")
-        flags = " ".join("chk" if p.checked else "key" for p in pairs)
-        print(f"  usage:    {flags}")
+    pairs = transcript.records
+    for t, op_index in enumerate(transcript.blocks.alice_op.tolist()):
+        block = slice(t * BLOCK_SIZE, (t + 1) * BLOCK_SIZE)
+        print(f"block {t}: op E{op_index} perm={cfg.op_set[op_index].perm}")
+        print(f"  prepared: {' '.join(BELL_STATES[v].name for v in pairs.prepared[block].tolist())}")
+        print(f"  measured: {' '.join(BELL_STATES[v].name for v in pairs.measured[block].tolist())}")
+        print(f"  usage:    {' '.join('chk' if c else 'key' for c in pairs.checked[block].tolist())}")
     v = transcript.verdict
     print(f"check: {v.checked_count} pairs, error rate {v.measured_error_rate:.4f}, "
           f"{'accepted' if v.accepted else 'rejected'} at threshold {v.threshold}")

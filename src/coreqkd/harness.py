@@ -181,11 +181,12 @@ class CellError(RuntimeError):
 
 
 def _eve(kind: str, params: dict, control_key: ControlKey, group: GroupConfig) -> EveStrategy | None:
-    """Eve of ``kind`` from her ``[eve]`` keys; a known_key Eve given no key holds ``control_key``."""
-    if kind not in EVE_KINDS:
-        raise ValueError(f"kind {kind!r} is not one of {' '.join(EVE_KINDS)}")
+    """Eve of ``kind`` from her ``[eve]`` keys, None for kind none; a known_key Eve given no key holds ``control_key``."""
+    kinds = {"none": (), **EVE_KINDS}
+    if kind not in kinds:
+        raise ValueError(f"kind {kind!r} is not one of {' '.join(kinds)}")
     for key in params:
-        if key not in EVE_KINDS[kind]:
+        if key not in kinds[kind]:
             raise ValueError(f"{key}: not a key of kind = {kind}")
     if kind == "none":
         return None

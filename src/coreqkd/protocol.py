@@ -62,7 +62,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .adversary import EveLog, EveStrategy, probe_tables
+from .adversary import EveLog, EveStrategy, probe_table_rows, probe_tables
 from .channel import _PAULIS, transmit
 from .quantum import BELL_STATES, BellState, LabelRegister, _pauli_flip, bell_measure, sample_rows
 from .quantum import tensor  # noqa: F401  perfbench's quantum.tensor span wraps this name
@@ -298,7 +298,7 @@ class SessionTranscript:
     def __post_init__(self) -> None:
         object.__setattr__(self, "records", PairColumns.of(self.records))
         object.__setattr__(self, "blocks", BlockColumns.of(self.blocks))
-        if self.blocks and len(self.records) != len(self.blocks) * BLOCK_SIZE:
+        if len(self.records) != len(self.blocks) * BLOCK_SIZE:
             raise ValueError("records do not fill the blocks")
 
     # -- derived statistics ------------------------------------------------
@@ -354,7 +354,12 @@ class SessionTranscript:
         return self._share(np.repeat(wrong, BLOCK_SIZE), False)
 
     def eve_bit_accuracy(self) -> float | None:
-        """Fraction of Alice's pair bits the interceptor recovered, slot aligned."""
+        """Fraction of Alice's pair bits the interceptor recovered, slot aligned.
+
+        A wrong guess scores 1/2 per bit here. What it still reveals is not
+        counted: over each cycle of the wrong permutation, Eve's symbols XOR
+        to Alice's.
+        """
         if self.eve_log is None or not self.eve_log.symbols:
             return None
         got = np.frombuffer(self.eve_log.symbols, dtype=np.uint8)
@@ -444,7 +449,7 @@ def _run_blocks(
     alice_ops: Sequence[int],
     bob_ops: Sequence[int],
 ) -> tuple[PairColumns, BlockColumns, EveLog | None]:
-    log = EveLog() if cfg.eve is not None and cfg.eve.kind != "none" else None
+    log = None if cfg.eve is None else EveLog()
     prepared: list[int] = []
     measured: list[int] = []
     eve_guess: list[int] = []
@@ -529,9 +534,8 @@ def _run_probe_tape(
     perms = _op_perms(cfg, ops)
     labels, eve, flips, bob = _session_tape(cfg, rng, perms, 1)
     measured = labels ^ flips
-    rows = np.arange(cfg.n_blocks)
     j = perms[:, 0]
-    table_row = np.where(j == 0, labels[:, 0], 4 + 4 * labels[:, 0] + labels[rows, j])
+    table_row = probe_table_rows(labels, j)
     probe, first, second = probe_tables(cfg.eve.a, cfg.eve.b)
     kp = sample_rows(probe[table_row], eve[:, 0])
     # A Pauli XORs a Bell outcome, so flips permute the columns of a table row.
@@ -543,6 +547,7 @@ def _run_probe_tape(
     given_r0 = measured[two, :1] ^ f0[two]
     conditional = second[kp[two, None], table_row[two, None], given_r0, outcomes ^ flips[two, jt, None]]
     measured[two, jt] = sample_rows(conditional, bob[two, jt])
+    rows = np.arange(cfg.n_blocks)
     log = EveLog.of_probes(rows, np.zeros_like(rows), 1 - 2 * kp)
     return (*_keyed_columns(ops, labels, measured), log)
 
@@ -581,7 +586,7 @@ def run_keyed_session(cfg: SessionConfig) -> SessionTranscript:
     rng = np.random.default_rng(cfg.seed)
     ops = op_index_for_block(cfg.control_key, cfg.group, np.arange(cfg.n_blocks))
     eve = cfg.eve
-    if eve is None or eve.kind == "none":
+    if eve is None:
         return _checked_transcript(cfg, rng, *_run_clean_tape(cfg, rng, ops))
     if eve.kind == "bell_probe" and eve.budget == 1:
         return _checked_transcript(cfg, rng, *_run_probe_tape(cfg, rng, ops))

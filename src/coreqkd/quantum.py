@@ -25,14 +25,16 @@ register's type:
 
 A step that is not Clifford, such as the correlation probe, runs on the
 register's optional core: one ``StateVector`` over just the pairs such
-steps have touched. ``absorb`` moves the pairs of the qubits a step acts
-on into the core, as the ``tensor`` of the core and their Bell states.
-A Bell measurement with a qubit in the core absorbs the pair of the other
+steps have touched. ``on_core`` runs a dense step on either register type,
+on a ``LabelRegister``'s core after ``absorb`` moves the pairs of the
+step's qubits into it, as the ``tensor`` of the core and their Bell states.
+The probe and any gate on a core qubit go through it, so no other module
+touches a core. A Bell measurement with a qubit in the core absorbs the pair of the other
 qubit and measures on the core; the measured duo then *splits* back out as
 a pair labelled with the outcome k, and the core becomes
 ``coeffs[k] / sqrt(p_k)`` over its other qubits (no core once it is
-empty). Any gate on a core qubit acts on the core. Steps on qubits outside
-the core follow the label rules, and other gates on them raise.
+empty). Steps on qubits outside the core follow the label rules, and other
+gates on them raise.
 
 Both engines make the same ``rng`` call for the same step: one
 ``rng.random()`` per Bell measurement, drawn through ``sample_index`` over
@@ -63,7 +65,7 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -237,12 +239,6 @@ class LabelRegister:
             f"core_qubits={self.core_qubits})"
         )
 
-    def with_core(self, core: StateVector) -> "LabelRegister":
-        """The same register with its core, over the same qubits, replaced."""
-        if self.core is None or core.n_qubits != self.core.n_qubits:
-            raise ValueError("the new core must cover the same qubits as the old one")
-        return _labels(self.partner, self.label, core, self.core_qubits)
-
     def state(self) -> StateVector:
         """The dense register: every pair absorbed into the core, then put in qubit order.
 
@@ -298,6 +294,24 @@ def absorb(register: LabelRegister, qubits: Sequence[int]) -> LabelRegister:
         states.insert(0, register.core)
     core_qubits = register.core_qubits + absorbed
     return _labels(tuple(new_partner), tuple(new_label), tensor(*states), core_qubits)
+
+
+def on_core(
+    register: StateVector | LabelRegister,
+    qubits: Sequence[int],
+    step: Callable[..., tuple],
+) -> tuple:
+    """``step(state, *positions)`` on the dense state holding the qubits: the register, or its core.
+
+    The step returns a result and the new state. A ``LabelRegister`` first
+    absorbs the qubits' pairs; this returns the result and the register.
+    """
+    if isinstance(register, StateVector):
+        return step(register, *qubits)
+    register = absorb(register, qubits)
+    where = register.core_qubits.index
+    result, core = step(register.core, *(where(q) for q in qubits))
+    return result, _labels(register.partner, register.label, core, register.core_qubits)
 
 
 @functools.cache
@@ -581,10 +595,12 @@ def apply_single_qubit(
             raise ValueError("qubit index out of range")
         if register.partner[qubit] >= 0:
             return _flip_labels(register, qubit, matrix)
-        core = apply_single_qubit(register.core, register.core_qubits.index(qubit), matrix)
-        return register.with_core(core)
-    out = np.asarray(matrix, dtype=complex) @ _to_front(register, (qubit,))
-    return _from_front(out, register.n_qubits, (qubit,))
+
+    def gate(state: StateVector, position: int) -> tuple[None, StateVector]:
+        out = np.asarray(matrix, dtype=complex) @ _to_front(state, (position,))
+        return None, _from_front(out, state.n_qubits, (position,))
+
+    return on_core(register, (qubit,), gate)[1]
 
 
 # X, Y and Z on either qubit of a Bell pair, with the XOR each applies to its label.

@@ -105,8 +105,12 @@ class CoreOpSet:
     """The four rearrangement operations available to a session.
 
     Every op acts on the ``BLOCK_SIZE`` pairs of a block. Index 0 must be the
-    identity and indices 1..3 must be pairwise distinct derangements, so that
-    every wrong choice misaligns every pair.
+    identity, indices 1..3 must be pairwise distinct derangements, and no two
+    ops may carry the same pair at one position (a Latin square). Then every
+    wrong guess g of the true op t misaligns every pair: slot k pairs the
+    upper half of pair k with the lower half of ``t.perm[g.inverse_perm[k]]``,
+    never k. Of the four such sets, the default device builds the cyclic one
+    and ``0123 1032 2310 3201``.
     """
 
     def __init__(self, perms: Sequence[Sequence[int]]):
@@ -122,6 +126,10 @@ class CoreOpSet:
                 raise ValueError(f"op {op.index} must be a derangement, got {op.perm!r}")
         if len({op.perm for op in ops}) != 4:
             raise ValueError("permutations must be pairwise distinct")
+        for first, second in itertools.combinations(ops, 2):
+            for p, (x, y) in enumerate(zip(first.perm, second.perm)):
+                if x == y:
+                    raise ValueError(f"ops {first.index} and {second.index} both carry pair {x} at position {p}")
         self.ops = ops
 
     @classmethod

@@ -8,13 +8,10 @@ import pytest
 from coreqkd import adversary
 from coreqkd.adversary import (
     EveStrategy,
-    attack_ensemble_register_density,
+    _enumerate_attack_branches,
     eve_bell_probe,
     exact_guess_attack_pair_distributions,
     exact_guess_attack_pair_errors,
-    probe_mean_bell_ensemble,
-    probe_mean_fixed_state,
-    probe_plus_probability,
     probe_tables,
 )
 from coreqkd.protocol import ControlKey, SessionConfig, run_keyed_session
@@ -38,15 +35,23 @@ from coreqkd.quantum import (
     tensor,
 )
 from coreqkd.quantum import _BELL_MATRIX  # Bell-basis change for the exact check
-from coreqkd.rearrange import CoreOpSet, GroupConfig, op_index_for_block
+from coreqkd.rearrange import LOWER, UPPER, CoreOpSet, GroupConfig, apply_core, invert_core, op_index_for_block
 
 OPS = CoreOpSet.cyclic()
+DERANGEMENTS = [p for p in itertools.permutations(range(4)) if all(p[i] != i for i in range(4))]
+# Every op set in order: the identity, then three derangements that differ at every position.
+LATIN_OP_SETS = [
+    CoreOpSet([tuple(range(4)), *ops])
+    for ops in itertools.permutations(DERANGEMENTS, 3)
+    if all(x != y for first, second in itertools.combinations(ops, 2) for x, y in zip(first, second))
+]
 
 
 class TestStrategyValidation:
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            EveStrategy(kind="listen_politely")
+        for kind in ("listen_politely", "none"):  # no Eve is None, not a kind
+            with pytest.raises(ValueError, match="unknown strategy kind"):
+                EveStrategy(kind=kind)
 
     def test_guess_weights_must_normalise(self):
         with pytest.raises(ValueError, match="sum"):
@@ -77,14 +82,39 @@ class TestGuessAttackExact:
         errors = exact_guess_attack_pair_errors(symbols, OPS[2], OPS[3])
         np.testing.assert_allclose(errors, 0.75, atol=1e-12)
 
+    def test_every_wrong_guess_of_every_latin_set_errs_three_quarters_on_every_pair(self):
+        """The paper's 3/4 premise, exactly, for all 24 ordered op sets and 12 (true, guess) pairs each."""
+        assert len(LATIN_OP_SETS) == 24
+        rng = np.random.default_rng(6)
+        for op_set in LATIN_OP_SETS:
+            for true_op, guess in itertools.permutations(op_set, 2):
+                symbols = [BellState(int(v)) for v in rng.integers(0, 4, size=4)]
+                errors = exact_guess_attack_pair_errors(symbols, true_op, guess)
+                np.testing.assert_allclose(errors, 0.75, rtol=0, atol=1e-12)
+
     def test_wrong_guess_leaves_pairs_maximally_mixed_in_bell_basis(self):
-        """Each restored pair's reduced state is diag(1/4,...) in the Bell basis."""
-        symbols = [BellState.PSI_MINUS] * 4
-        rho = attack_ensemble_register_density(symbols, OPS[1], OPS[2])
+        """Each restored pair's reduced state, averaged over Eve's branches, is diag(1/4,...) in the Bell basis."""
+        register = tensor(*[bell_state(BellState.PSI_MINUS)] * 4)
+        eve_duos = list(zip(UPPER, invert_core(OPS[2], apply_core(OPS[1], LOWER))))
+        rho = sum(weight * density(state) for weight, state in _enumerate_attack_branches(register, eve_duos))
         for k in range(4):
             pair = partial_trace_register(rho, 8, [2 * k, 2 * k + 1])
             in_bell = _BELL_MATRIX.conj() @ pair @ _BELL_MATRIX.T
             np.testing.assert_allclose(in_bell, np.eye(4) / 4, atol=1e-12)
+
+
+def cycles(sigma: list[int]) -> list[list[int]]:
+    """The cycles of a permutation, each from its smallest element."""
+    seen, found = set(), []
+    for start in range(len(sigma)):
+        cycle, k = [], start
+        while k not in seen:
+            seen.add(k)
+            cycle.append(k)
+            k = sigma[k]
+        if cycle:
+            found.append(cycle)
+    return found
 
 
 class TestGuessAttackSampled:
@@ -101,6 +131,33 @@ class TestGuessAttackSampled:
         errors = sum(1 for r in transcript.records if r.measured != r.prepared)
         assert errors / transcript.n_pairs == pytest.approx(0.5625, abs=0.02)
         assert transcript.wrong_guess_error_rate() == pytest.approx(0.75, abs=0.02)
+
+    def test_each_cycle_of_a_wrong_guess_keeps_the_xor_of_alice_symbols(self):
+        """Under true op t and guess g, Eve's slot k pairs the upper half of pair k with the
+        lower half of pair sigma(k) = t.perm[g.inverse_perm[k]]. Over each cycle of sigma
+        her symbols XOR to Alice's, and so do Bob's, on every block: no tolerance."""
+        wrong_blocks = 0
+        for seed, op_set in enumerate(LATIN_OP_SETS):
+            cfg = SessionConfig(
+                n_blocks=200,
+                control_key=ControlKey.from_indices([0, 1, 2, 3]),
+                error_threshold=1.0,
+                seed=seed,
+                eve=EveStrategy.guess_core(),
+                op_set=op_set,
+            )
+            t = run_keyed_session(cfg)
+            alice, bob = t.records.prepared.reshape(-1, 4), t.records.measured.reshape(-1, 4)
+            eve = np.frombuffer(t.eve_log.symbols, np.uint8).reshape(-1, 4)
+            for block in np.flatnonzero(t.blocks.eve_guess != t.blocks.alice_op):
+                true_op, guess = op_set[t.blocks.alice_op[block]], op_set[t.blocks.eve_guess[block]]
+                sigma = [true_op.perm[guess.inverse_perm[k]] for k in range(4)]
+                for cycle in cycles(sigma):
+                    parity = np.bitwise_xor.reduce(alice[block, cycle])
+                    assert np.bitwise_xor.reduce(eve[block, cycle]) == parity
+                    assert np.bitwise_xor.reduce(bob[block, cycle]) == parity
+                wrong_blocks += 1
+        assert wrong_blocks > 3000
 
     def test_correct_guess_session_is_error_free(self):
         key = ControlKey.from_indices([2, 1])
@@ -185,18 +242,6 @@ class TestBellProbe:
             total = sum(expectation(bell_state(s), a, b) for s in BellState)
             assert abs(total) < 1e-12
 
-    def test_batched_ensemble_means_vanish(self):
-        rng = np.random.default_rng(25)
-        a, b = random_direction(rng), random_direction(rng)
-        assert abs(probe_mean_bell_ensemble("matched", a, b, 1_000_000, rng)) <= 0.01
-        assert abs(probe_mean_bell_ensemble("mismatched", a, b, 1_000_000, rng)) <= 0.01
-
-    def test_batched_fixed_singlet(self):
-        rng = np.random.default_rng(26)
-        a = random_direction(rng)
-        mean = probe_mean_fixed_state(BellState.PSI_MINUS, a, a, 100_000, rng)
-        assert mean == pytest.approx(-1.0, abs=0.01)
-
     def test_probe_session_records_outcomes(self):
         cfg = SessionConfig(
             n_blocks=50,
@@ -273,11 +318,12 @@ class TestProbeTables:
         """The XOR rule does not depend on the directions, so one pair takes every Pauli pattern."""
         a, b = directions
         probe, first, second = probe_tables(a, b)
+        plus = (np.eye(4) + correlation_operator(a, b)) / 2.0  # projector onto the probe's +1 outcome
         drawn, dense, table = [], [], []  # dense-engine values and their table values
         for row, kp in itertools.product(range(adversary.PROBE_TABLE_ROWS), (0, 1)):
             core, duo, bob = table_core(row)
             rho = partial_trace_register(density(core), core.n_qubits, duo)
-            dense.append([probe_plus_probability(rho, a, b)])
+            dense.append([np.trace(plus @ rho).real])
             table.append([probe[row, 0]])
             if probe[row, kp] <= 1e-15:
                 dense.append([0.0])

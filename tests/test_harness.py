@@ -30,9 +30,11 @@ from coreqkd.harness import (
     parse_experiment_string,
     parse_report,
     run_experiment,
+    trial_config,
     trial_seed,
     write_report,
 )
+from coreqkd.harness import _grid  # the sweep cells, for the no-Eve check
 from coreqkd.protocol import SessionConfig
 from coreqkd.rearrange import ControlKey, CoreOpSet
 
@@ -152,6 +154,13 @@ class TestConfigParsing:
         assert spec.session.eve.a.z == 1.0  # normalised on parse
         assert spec.session.eve.budget == 2
 
+    def test_no_eve_loads_as_none(self):
+        """``[eve] kind = none`` and a sweep cell ``eve = none`` both run with no Eve: ``None``."""
+        spec = parse_experiment_string(SESSION + "[eve]\nkind = none\n[sweep]\neve = none guess_core\n")
+        assert spec.session.eve is None
+        eves = [trial_config(spec, point, i, 0).eve for i, point in enumerate(_grid(spec))]
+        assert eves[0] is None and eves[1].kind == "guess_core"
+
     def test_custom_rearrangement_set(self):
         text = GOOD_SPEC + "\n[rearrangement]\nperms = 0123 1230 2301 3012\n"
         spec = parse_experiment_string(text)
@@ -257,8 +266,8 @@ PINNED_REPORTS = {
     "keyed_noise_perms_jsonl": (
         "[experiment]\nname = pin-keyed-noise-perms\ntrials = 2\nseed = 43\nformat = jsonl\n"
         "[session]\nn_blocks = 90\ncontrol_key = 0110\ngroup_size = 2\nerror_threshold = 1.0\nnoise = 0.1\n"
-        "[rearrangement]\nperms = 0123 1032 2301 3012\n",
-        "ac5ba66f6374fa68643696508ee9b8049228db23e59b9c2c8bcad76d51ff6c0f",
+        "[rearrangement]\nperms = 0123 1032 2310 3201\n",
+        "97dc0b2a40bb2c4c5f02d60fae65e6a6d3ebdbe324ddfd97a145a271ee2e9527",
     ),
     # A guessing Eve with custom weights, one of them 0: sample_index skips that branch.
     "guess_core_weights": (
@@ -280,7 +289,7 @@ PINNED_REPORTS = {
 PINNED_DEMO_SCRIPTS = {
     "01_bell_pairs_and_correlations.py": "68037ec8491aedb7a05a61b620b2aec87605a6871375565817e676d13369c147",
     "02_rearrangement_device.py": "f096d75446745483a1735bfc01e347f1b54ad4f6ed0a85e10ac39b61abfab38e",
-    "03_keyed_sessions_and_attacks.py": "728920117ee2936fba0a27fd262f40c014e418cd45c15bcccd85efbea6d56eef",
+    "03_keyed_sessions_and_attacks.py": "0ac892782a069c50faccac97a51901b521172dbbcfe1cba2e3c8286fe6260a36",
     "04_bootstrap_key_generation.py": "ca15684f01a5aa6576e173ee5805c30a137cb367e567f8f7c306ef538a3015cc",
     "05_security_table_and_sweeps.py": "c65abac45e261304133524165d494ae244f2639f727c6e65e0392cb6b7d319f7",
 }

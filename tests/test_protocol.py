@@ -13,6 +13,7 @@ from scipy import stats
 from coreqkd import adversary, harness, protocol
 from coreqkd.adversary import EveStrategy
 from coreqkd.protocol import (
+    BlockRecord,
     InsufficientSiftError,
     PairColumns,
     PairRecord,
@@ -38,17 +39,23 @@ from coreqkd.quantum import (
     bell_outcome_probabilities,
 )
 from coreqkd.rearrange import ControlKey, CoreOpSet, GroupConfig, op_index_for_block
+from test_adversary import LATIN_OP_SETS
 
 KEY_ALL_OPS = ControlKey.from_indices([0, 1, 2, 3])
 
 
 def synthetic_transcript(pairs, checked=(), verdict=None):
-    """Build a keyed transcript from (prepared, measured) tuples; pair i is slot ``i % 4`` of block ``i // 4``."""
+    """Build a keyed transcript from (prepared, measured) tuples; pair i is slot ``i % 4`` of block ``i // 4``.
+
+    The last block is filled up with unsifted pairs, which no key or check reads.
+    """
+    filler = (BellState.PSI_MINUS, BellState.PSI_MINUS)
     records = tuple(
-        PairRecord(*divmod(i, 4), prep, meas, checked=i in checked)
-        for i, (prep, meas) in enumerate(pairs)
+        PairRecord(*divmod(i, 4), *pair, checked=i in checked, sifted=i < len(pairs))
+        for i, pair in enumerate([*pairs, *[filler] * (-len(pairs) % 4)])
     )
-    return SessionTranscript(mode="keyed", records=records, blocks=(), verdict=verdict)
+    blocks = tuple(BlockRecord(t, 0, 0) for t in range(len(records) // 4))
+    return SessionTranscript(mode="keyed", records=records, blocks=blocks, verdict=verdict)
 
 
 class TestConfigValidation:
@@ -146,15 +153,7 @@ class TestKeyedSession:
     def test_ideal_round_trip_any_key_and_op_set(self, seed):
         """Exactness must hold for every key, op set and symbol sequence."""
         rng = np.random.default_rng(seed)
-        derangements = [
-            p
-            for p in itertools.permutations(range(4))
-            if all(p[i] != i for i in range(4))
-        ]
-        chosen = rng.choice(len(derangements), size=3, replace=False)
-        op_set = CoreOpSet(
-            [tuple(range(4))] + [derangements[int(i)] for i in chosen]
-        )
+        op_set = LATIN_OP_SETS[int(rng.integers(len(LATIN_OP_SETS)))]
         cfg = SessionConfig(
             n_blocks=60,
             control_key=ControlKey.random(int(rng.integers(1, 6)), rng),
@@ -352,9 +351,6 @@ class TestBootstrapSession:
         assert ta.records == tb.records
 
 
-DERANGEMENTS = [p for p in itertools.permutations(range(4)) if all(p[i] != i for i in range(4))]
-
-
 def session_result(cfg: SessionConfig):
     """Everything a session returns, or the message of its sift error."""
     try:
@@ -396,12 +392,11 @@ def sessions(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     key = ControlKey.random(int(rng.integers(1, 5)), rng)
     group = GroupConfig(int(rng.integers(1, 4)))
-    chosen = rng.choice(len(DERANGEMENTS), size=3, replace=False)
+    op_set = LATIN_OP_SETS[int(rng.integers(len(LATIN_OP_SETS)))]
     weights = rng.random(4)
     weights[rng.integers(0, 4)] = 0.0
     eve = draw(st.sampled_from([
         None,
-        EveStrategy.none(),
         EveStrategy.guess_core(),
         EveStrategy.guess_core(list(weights / weights.sum())),
         EveStrategy.known_key(key, group),
@@ -422,7 +417,7 @@ def sessions(draw):
         mode=draw(st.sampled_from(["keyed", "bootstrap"])),
         eve=eve,
         noise=draw(st.sampled_from([0.0, 0.1, 0.37, 0.9])),
-        op_set=CoreOpSet([tuple(range(4))] + [DERANGEMENTS[int(i)] for i in chosen]),
+        op_set=op_set,
     )
 
 
@@ -494,9 +489,6 @@ PROBE_DIRECTIONS = [
     (Direction.normalized(1, -2, 3), Direction.normalized(-0.5, 1, 2)),
 ]
 NON_CYCLIC = CoreOpSet([(0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)])
-
-
-CLEAN_EVES = (None, EveStrategy.none())
 
 
 def raw_draws(u: np.ndarray, data: np.random.Generator) -> np.ndarray:
@@ -582,23 +574,21 @@ class TestCleanTape:
     @pytest.mark.parametrize("noise", [0.0, 0.05, 0.37, 0.999])
     @pytest.mark.parametrize("key", ["00011011", "0110", "00", "11100100"])
     def test_sessions_match_the_per_block_engine(self, key, noise):
-        grid = itertools.product(range(2), [1, 3, 64, 257], [1, 2], [CoreOpSet.cyclic(), NON_CYCLIC], CLEAN_EVES)
-        for seed, n_blocks, group, op_set, eve in grid:
+        grid = itertools.product(range(2), [1, 3, 64, 257], [1, 2], [CoreOpSet.cyclic(), NON_CYCLIC])
+        for seed, n_blocks, group, op_set in grid:
             cfg = SessionConfig(
                 n_blocks=n_blocks,
                 control_key=ControlKey.from_bits(key),
                 group=GroupConfig(group),
                 check_fraction=0.25 + 0.5 * seed,
                 seed=1_000_003 * seed + 7,
-                eve=eve,
                 noise=noise,
                 op_set=op_set,
             )
             assert run_keyed_session(cfg) == per_block_keyed_session(cfg)
 
     def test_the_tape_reads_the_per_block_stream(self):
-        for eve in CLEAN_EVES:
-            assert_tape_reads_the_per_block_stream(protocol._run_clean_tape, eve)
+        assert_tape_reads_the_per_block_stream(protocol._run_clean_tape, None)
 
     @pytest.mark.parametrize("noise", [0.5, 0.75])
     def test_noise_draws_on_boundaries_match_the_per_block_engine(self, noise):
@@ -609,8 +599,8 @@ class TestCleanTape:
         n = 80
         raws = raw_draws(data.choice(edges, size=(n, 2 + 8 + 4)), data)
         raws[:, :2] = data.integers(0, 2**64, size=(n, 2), dtype=np.uint64)
-        for op_set, eve in itertools.product([CoreOpSet.cyclic(), NON_CYCLIC], CLEAN_EVES):
-            cfg = SessionConfig(n_blocks=n, control_key=KEY_ALL_OPS, noise=noise, eve=eve, op_set=op_set)
+        for op_set in (CoreOpSet.cyclic(), NON_CYCLIC):
+            cfg = SessionConfig(n_blocks=n, control_key=KEY_ALL_OPS, noise=noise, op_set=op_set)
             ops = op_index_for_block(cfg.control_key, cfg.group, np.arange(n))
             got = protocol._run_clean_tape(cfg, RawStream(raws.ravel()), ops)
             assert got == protocol._run_blocks(cfg, RawStream(raws.ravel()), ops.tolist(), ops.tolist())
@@ -627,7 +617,6 @@ class TestCleanTape:
             monkeypatch.setattr(protocol, name, spy)
         for mode, eve, expected in (
             ("keyed", None, 0),
-            ("keyed", EveStrategy.none(), 0),
             ("keyed", EveStrategy.guess_core(), 20),
             ("bootstrap", None, 20),
         ):
@@ -739,6 +728,12 @@ class TestColumnarTranscript:
         assert set(vars(t.blocks)) == {"alice_op", "bob_op", "eve_guess"}
         with pytest.raises(ValueError):
             t.records.measured[0] = 0
+
+    def test_records_must_fill_the_blocks(self):
+        """Pair records with no blocks are refused, so ``sift_rate`` never divides by zero."""
+        record = PairRecord(0, 0, BellState.PSI_MINUS, BellState.PSI_MINUS)
+        with pytest.raises(ValueError, match="fill the blocks"):
+            SessionTranscript("keyed", (record,), (), None)
 
     def test_records_out_of_block_order_are_refused(self):
         records = list(run_keyed_session(SessionConfig(n_blocks=2, control_key=KEY_ALL_OPS)).records)

@@ -714,8 +714,6 @@ class TestLabelCore:
         assert apply_single_qubit(with_pair, 2, SIGMA_Y).label[2:] == (1, 1)
         with pytest.raises(ValueError, match="Pauli"):
             apply_single_qubit(with_pair, 2, hadamard)
-        with pytest.raises(ValueError):
-            with_pair.with_core(StateVector(np.eye(8)[0]))
 
     @settings(max_examples=80, deadline=None)
     @given(

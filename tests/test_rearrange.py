@@ -78,6 +78,8 @@ class TestCoreOps:
             CoreOpSet([good[0], (0, 2, 3, 1), good[2], good[3]])
         with pytest.raises(ValueError, match="distinct"):
             CoreOpSet([good[0], good[1], good[1], good[3]])
+        with pytest.raises(ValueError, match="ops 1 and 3 both carry pair 0 at position 1"):
+            CoreOpSet([good[0], (1, 0, 3, 2), good[2], good[3]])
         with pytest.raises(ValueError, match="permutation"):
             CoreOp(1, (0, 0, 1, 2))
 
