@@ -10,8 +10,9 @@ classical channel, and a session with no Eve has ``eve = None``.
 Each attack has one model. ``exact_guess_attack_pair_distributions``
 enumerates every branch of the interception's Bell measurements with exact
 Born probabilities, for the closed-form error checks. The probe,
-``eve_bell_probe``, is one dense step on either register type through
-``quantum.on_core``. ``probe_tables`` holds its exact outcome probabilities
+``eve_bell_probe``, is one dense step on a ``StateVector``: it is not
+Clifford, so a session runs probed blocks on the dense engine.
+``probe_tables`` holds its exact outcome probabilities
 on a keyed block probed on one duo, by core row (``probe_table_rows``),
 computed once per direction pair: a keyed one-duo probe session samples
 from them, and the paper's probe ensemble means are averages of their rows.
@@ -43,12 +44,12 @@ from .quantum import (
     bell_project,
     bell_state,
     correlation_operator,
-    on_core,
     sample_index,
     tensor,
 )
 from .rearrange import (
-    LOWER, UPPER, ControlKey, CoreOp, CoreOpSet, GroupConfig, apply_core, invert_core, op_index_for_block,
+    BLOCK_SIZE, LOWER, UPPER, ControlKey, CoreOp, CoreOpSet, GroupConfig,
+    apply_core, invert_core, op_index_for_block,
 )
 
 # Each kind with its own parameters; known_key's key group comes from the session.
@@ -86,10 +87,12 @@ class EveStrategy:
                 raise ValueError("bell_probe strategy needs two directions")
             if self.budget < 1:
                 raise ValueError("budget must be >= 1")
+            if self.budget > BLOCK_SIZE:
+                raise ValueError(f"budget must be <= {BLOCK_SIZE}: a block holds four duos")
 
     @classmethod
     def guess_core(cls, weights: Sequence[float] | None = None) -> "EveStrategy":
-        return cls(kind="guess_core", weights=tuple(weights) if weights else None)
+        return cls(kind="guess_core", weights=None if weights is None else tuple(weights))
 
     @classmethod
     def known_key(cls, key: ControlKey, group: GroupConfig = GroupConfig()) -> "EveStrategy":
@@ -185,26 +188,23 @@ def _probe_projectors(a: Direction, b: Direction) -> tuple[np.ndarray, np.ndarra
 
 
 def eve_bell_probe(
-    register: StateVector | LabelRegister,
+    register: StateVector,
     qubit_a: int,
     qubit_b: int,
     a: Direction,
     b: Direction,
     rng: np.random.Generator,
-) -> tuple[int, StateVector | LabelRegister]:
+) -> tuple[int, StateVector]:
     """Measure the two-outcome observable (sigma.a)(x)(sigma.b) on one duo.
 
-    Returns the sampled eigenvalue (+1 or -1) and the collapsed register, of
-    the type given. The probe is not Clifford, so it runs densely, through
-    ``quantum.on_core``.
+    Returns the sampled eigenvalue (+1 or -1) and the collapsed register.
     """
-
-    def probe(state: StateVector, *duo: int) -> tuple[int, StateVector]:
-        branches, probs = _probe_branches(state, duo, a, b)
-        k = sample_index(probs, rng)
-        return (1 if k == 0 else -1), _probe_collapse(state, duo, branches[k], probs[k])
-
-    return on_core(register, (qubit_a, qubit_b), probe)
+    if not isinstance(register, StateVector):
+        raise ValueError("the probe is not Clifford: it takes a StateVector, not a LabelRegister")
+    duo = (qubit_a, qubit_b)
+    branches, probs = _probe_branches(register, duo, a, b)
+    k = sample_index(probs, rng)
+    return (1 if k == 0 else -1), _probe_collapse(register, duo, branches[k], probs[k])
 
 
 def _probe_branches(
@@ -222,11 +222,12 @@ def _probe_collapse(
     return _from_front(branch / math.sqrt(prob), register.n_qubits, duo)
 
 
-# Rows of ``probe_tables``: a keyed block probed on its first duo holds a
-# dense core of the probed pairs only. Under an op with perm[0] == 0 the duo
-# is pair 0 itself (row L0); otherwise it is the upper half of pair 0 and the
-# lower half of pair j = perm[0], whose core is pairs 0 and j on the qubits
-# (0, 1, 2j, 2j+1), probed on core positions (0, 3) (row 4 + 4*L0 + Lj).
+# Rows of ``probe_tables``: a keyed block probed on its first duo entangles
+# the probed pairs only, and the tables hold a register of just those. Under
+# an op with perm[0] == 0 the duo is pair 0 itself (row L0); otherwise it is
+# the upper half of pair 0 and the lower half of pair j = perm[0], pairs 0
+# and j on the qubits (0, 1, 2j, 2j+1), probed on positions (0, 3) of their
+# register (row 4 + 4*L0 + Lj).
 PROBE_TABLE_ROWS = 20
 
 
@@ -238,10 +239,10 @@ def probe_table_rows(labels: np.ndarray, j: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=64)
 def probe_tables(a: Direction, b: Direction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact outcome tables of a block probed once along (a, b), by core row.
+    """Exact outcome tables of a block probed once along (a, b), by row of the probed pairs.
 
-    Returns three read-only arrays, computed on the dense core as
-    ``eve_bell_probe`` and Bob's measurements of the core compute them:
+    Returns three read-only arrays, computed on a register of the probed
+    pairs as ``eve_bell_probe`` and Bob's dense measurements compute them:
 
     * ``probe[row, kp]``: probability of the +1 (kp 0) and -1 (kp 1) outcome;
     * ``first[kp, row, r]``: Bob's Bell probabilities on pair 0 after outcome kp;
@@ -308,7 +309,7 @@ def intercept(
     # bell_probe: interrogate slot-aligned duos, one per budget unit.
     a, b = strategy.a, strategy.b
     assert a is not None and b is not None
-    for slot in range(min(strategy.budget, len(upper))):
+    for slot in range(strategy.budget):
         outcome, register = eve_bell_probe(register, upper[slot], lower[slot], a, b, rng)
         if log is not None:
             log.add_probe(block_index, slot, outcome)

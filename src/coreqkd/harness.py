@@ -18,13 +18,13 @@ section headers (INI syntax, parsed with the standard library)::
     check_fraction = 0.5
     error_threshold = 0.1
     noise = 0.0
-    requested_key_bits =        ; bootstrap sessions only; empty = all sifted bits
+    requested_key_bits =        ; bootstrap sessions only, even; empty = all sifted bits
 
     [eve]                       ; optional; every other key belongs to one kind
     kind = bell_probe           ; none | guess_core | known_key | bell_probe
     a = 1 0 0                   ; bell_probe: directions (normalised on parse)
     b = 0 0 1
-    budget = 1
+    budget = 1                  ; duos probed per block, 1..4
     ; guess_core: weights = 0.25 0.25 0.25 0.25
     ; known_key:  key = 0001    Eve's bit string; empty = the session key,
     ;                           still hers when key_lengths redraws it

@@ -26,8 +26,11 @@ time one is read (nothing is cached), and a transcript given records
 instead of columns packs them into the same columns.
 
 Engines. A session runs block by block (``_run_blocks``): prepare a
-``LabelRegister``, ``transmit`` it through Eve and the noise, and let Bob
-Bell-measure each restored pair. Two kinds of keyed session, chosen from
+block, ``transmit`` it through Eve and the noise, and let Bob Bell-measure
+each restored pair. The register is chosen once per session from the Eve
+kind: under a ``bell_probe`` Eve, whose probe is not Clifford, every block
+is the dense ``tensor`` of Alice's four Bell states; every other block is a
+``LabelRegister``. Two kinds of keyed session, chosen from
 the session's own mode, Eve kind and budget, skip the loop: one with no Eve
 (``_run_clean_tape``) and one whose Eve is a ``bell_probe`` with
 ``budget == 1`` (``_run_probe_tape``). Their blocks all make the same run of
@@ -39,17 +42,17 @@ session, and the check's draws continue the same stream. Noise is an XOR:
 X, Y and Z on a qubit of a Bell pair map Bell state k to k ^ 2, k ^ 3 and
 k ^ 1. Without Eve every pair stays a Bell pair, so ``measured = label ^
 flips``; Bob's draws are spent unread, as ``_measure_labels`` spends them on
-a certain outcome. The probe leaves a dense core of pair 0 alone (op
-``perm[0] == 0``) or of pairs 0 and ``j = perm[0]``, and every other pair
-keeps its label. ``adversary.probe_tables(a, b)`` holds the probe's branch
-probabilities, Bob's pair-0 Bell probabilities in each branch, and his
-pair-j probabilities given pair 0's outcome, all computed once on the dense
-core. Flips only permute the table columns Bob reads, and a labelled pair
-reads ``label ^ flips``. Each outcome is drawn by ``quantum.sample_rows``,
-``sample_index``'s rule row by row. The tables equal the dense core's
-probabilities exactly without noise and to rounding with it. So, as
-between the label and the dense engine, only a draw within about 1e-16 of
-a branch boundary could tell the two paths apart.
+a certain outcome. The probe entangles pair 0 alone (op ``perm[0] == 0``)
+or pairs 0 and ``j = perm[0]``, and every other pair stays a Bell pair.
+``adversary.probe_tables(a, b)`` holds the probe's branch probabilities,
+Bob's pair-0 Bell probabilities in each branch, and his pair-j
+probabilities given pair 0's outcome, all computed once on a dense register
+of just the probed pairs. Flips only permute the table columns Bob reads,
+and every other pair reads ``label ^ flips``. Each outcome is drawn by
+``quantum.sample_rows``, ``sample_index``'s rule row by row. The tables
+equal the dense block's probabilities to rounding (up to about 1e-16), so
+only a draw that close to a branch boundary could tell the tape from the
+per-block engine.
 """
 
 from __future__ import annotations
@@ -64,8 +67,9 @@ import numpy as np
 
 from .adversary import EveLog, EveStrategy, probe_table_rows, probe_tables
 from .channel import _PAULIS, transmit
-from .quantum import BELL_STATES, BellState, LabelRegister, _pauli_flip, bell_measure, sample_rows
-from .quantum import tensor  # noqa: F401  perfbench's quantum.tensor span wraps this name
+from .quantum import (
+    BELL_STATES, BellState, LabelRegister, _pauli_flip, bell_measure, bell_state, sample_rows, tensor,
+)
 from .rearrange import (
     BLOCK_SIZE,
     LOWER,
@@ -123,6 +127,8 @@ class SessionConfig:
             raise ValueError("requested_key_bits is for bootstrap sessions only")
         if self.requested_key_bits is not None and self.requested_key_bits < 2:
             raise ValueError("requested_key_bits must be >= 2")
+        if self.requested_key_bits is not None and self.requested_key_bits % 2:
+            raise ValueError("requested_key_bits must be even: a control key holds two bits per op")
         n_pairs = self.n_blocks * BLOCK_SIZE
         if math.ceil(self.check_fraction * n_pairs) > n_pairs - 1:
             raise ValueError("check_fraction leaves no unchecked pair")
@@ -454,8 +460,11 @@ def _run_blocks(
     measured: list[int] = []
     eve_guess: list[int] = []
     op_set = cfg.op_set
+    dense = cfg.eve is not None and cfg.eve.kind == "bell_probe"
     for t in range(cfg.n_blocks):
         symbols, register = alice_prepare_block(rng)
+        if dense:
+            register = tensor(*map(bell_state, symbols))
         lower = apply_core(op_set[alice_ops[t]], LOWER)
         register, guess = transmit(
             register, UPPER, lower, cfg.eve, cfg.noise, rng, op_set=op_set, block_index=t, log=log
@@ -625,6 +634,4 @@ def run_bootstrap_session(
         raise InsufficientSiftError(
             f"INSUFFICIENT_SIFT: {len(bits)} sifted bits cannot form a key"
         )
-    if len(bits) % 2:
-        bits = bits[:-1]
     return ControlKey(tuple(bits)), transcript

@@ -6,45 +6,32 @@ matrices, the two-spin correlation observable along arbitrary measurement
 directions, Bell-basis projective measurement on a chosen qubit pair with
 Born-rule sampling, and single-qubit gates. Every operation on a subset of
 qubits goes through one kernel that brings those qubits to the front of the
-amplitude array and back. It serves every direct caller, holds the core of
-a ``LabelRegister`` and is the oracle the label rules are tested against.
+amplitude array and back. It serves every direct caller, every step that is
+not Clifford (such as the correlation probe) and is the oracle the label
+rules are tested against.
 
-``LabelRegister`` is the Clifford engine with a dense core. A block of
-Bell pairs that is only reordered, Bell-measured and hit by Pauli gates
-stays a perfect matching of its qubits into Bell pairs (Gottesman-Knill),
-so the register is a partner table plus one 2-bit ``BellState.value`` label
-per pair. ``bell_measure`` and ``apply_single_qubit`` branch on the
-register's type:
+``LabelRegister`` is the Clifford engine. A block of Bell pairs that is
+only reordered, Bell-measured and hit by Pauli gates stays a perfect
+matching of its qubits into Bell pairs (Gottesman-Knill), so the register
+is a partner table plus one 2-bit ``BellState.value`` label per pair.
+``bell_measure`` and ``apply_single_qubit`` branch on the register's type:
 
 * a Bell measurement on a genuine pair returns its label;
 * on halves of two different pairs, labelled P and Q, it returns R with
   probability 1/4 each; the measured halves become a pair labelled R and
   their two partners a pair labelled P ^ Q ^ R (labels do not depend on
   qubit order: a Bell state is symmetric under a swap up to a sign);
-* X, Y and Z XOR the label of the hit pair with 2, 3 and 1.
-
-A step that is not Clifford, such as the correlation probe, runs on the
-register's optional core: one ``StateVector`` over just the pairs such
-steps have touched. ``on_core`` runs a dense step on either register type,
-on a ``LabelRegister``'s core after ``absorb`` moves the pairs of the
-step's qubits into it, as the ``tensor`` of the core and their Bell states.
-The probe and any gate on a core qubit go through it, so no other module
-touches a core. A Bell measurement with a qubit in the core absorbs the pair of the other
-qubit and measures on the core; the measured duo then *splits* back out as
-a pair labelled with the outcome k, and the core becomes
-``coeffs[k] / sqrt(p_k)`` over its other qubits (no core once it is
-empty). Steps on qubits outside the core follow the label rules, and other
-gates on them raise.
+* X, Y and Z XOR the label of the hit pair with 2, 3 and 1; any other
+  gate raises (a ``StateVector`` takes any gate).
 
 Both engines make the same ``rng`` call for the same step: one
 ``rng.random()`` per Bell measurement, drawn through ``sample_index`` over
 the outcome probabilities. So a session gives the same outcomes on either
 engine, with one caveat: dense probabilities of uniform branches are
-0.25 +- 1 ulp, not exactly 0.25, and the core's probabilities equal the
-full register's only up to rounding, so the engines could disagree only on
-a draw within about 1e-16 of a branch boundary. ``LabelRegister.state()``
-absorbs every pair and returns the dense register, which for a freshly
-prepared block equals the ``tensor`` of its Bell states bit for bit.
+0.25 +- 1 ulp, not exactly 0.25, so the engines could disagree only on a
+draw within about 1e-16 of a branch boundary. ``LabelRegister.state()``
+is the ``tensor`` of its pairs' Bell states put in qubit order, which for a
+freshly prepared block is the ``tensor`` of its Bell states bit for bit.
 
 Conventions used throughout the package:
 
@@ -65,7 +52,7 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -195,27 +182,22 @@ class StateVector:
 
 
 class LabelRegister:
-    """A register of 2..8 qubits: Bell pairs with 2-bit labels plus an optional dense core.
+    """A register of 2..8 qubits held as Bell pairs with 2-bit labels.
 
     ``partner[q]`` is the qubit paired with q and ``label[q]`` the pair's
-    ``BellState.value``, stored at both ends. ``core`` is a ``StateVector``
-    over the qubits ``core_qubits`` (its qubit c is register qubit
-    ``core_qubits[c]``), or None; a core qubit has partner and label -1.
-    ``LabelRegister(labels)`` prepares pair k on qubits (2k, 2k+1) in the
-    Bell state of value labels[k], with no core. Instances are immutable; a
-    measurement or a gate returns a new register (see the module docstring
-    for the rules).
+    ``BellState.value``, stored at both ends. ``LabelRegister(labels)``
+    prepares pair k on qubits (2k, 2k+1) in the Bell state of value
+    labels[k]. Instances are immutable; a Bell measurement or a Pauli gate
+    returns a new register (see the module docstring for the rules).
     """
 
-    __slots__ = ("partner", "label", "core", "core_qubits")
+    __slots__ = ("partner", "label")
 
     def __init__(self, labels: Sequence[int]):
         if not 1 <= len(labels) <= MAX_QUBITS // 2 or not _LABEL_VALUES.issuperset(labels):
             raise ValueError(f"need 1..{MAX_QUBITS // 2} BellState values, got {labels!r}")
         _set(self, "partner", _PREPARED_PARTNERS[len(labels)])
         _set(self, "label", tuple([v for v in labels for _ in (0, 1)]))
-        _set(self, "core", None)
-        _set(self, "core_qubits", ())
 
     @property
     def n_qubits(self) -> int:
@@ -229,26 +211,21 @@ class LabelRegister:
             isinstance(other, LabelRegister)
             and self.partner == other.partner
             and self.label == other.label
-            and self.core_qubits == other.core_qubits
-            and self.core == other.core
         )
 
     def __repr__(self) -> str:
-        return (
-            f"LabelRegister(partner={self.partner}, label={self.label}, "
-            f"core_qubits={self.core_qubits})"
-        )
+        return f"LabelRegister(partner={self.partner}, label={self.label})"
 
     def state(self) -> StateVector:
-        """The dense register: every pair absorbed into the core, then put in qubit order.
+        """The dense register: the ``tensor`` of the pairs, lower qubit first, put in qubit order.
 
-        With no core and the matching (2k, 2k+1) this is ``tensor`` of the
-        pairs' Bell states bit for bit; otherwise the same up to a global phase.
+        With the matching (2k, 2k+1) this is ``tensor`` of the pairs' Bell
+        states bit for bit; otherwise the same up to a global phase.
         """
-        full = absorb(self, range(self.n_qubits))
-        if full.core_qubits == tuple(range(self.n_qubits)):
-            return full.core
-        return _from_front(full.core.amps, self.n_qubits, full.core_qubits)
+        lows = [q for q, mate in enumerate(self.partner) if q < mate]
+        order = tuple(q for low in lows for q in (low, self.partner[low]))
+        full = tensor(*(bell_state(BELL_STATES[self.label[q]]) for q in lows))
+        return _from_front(full.amps, len(order), order)
 
 
 _LABEL_VALUES = frozenset(range(4))
@@ -257,61 +234,12 @@ _PREPARED_PARTNERS = {k: tuple(q ^ 1 for q in range(2 * k)) for k in range(1, MA
 _set = object.__setattr__
 
 
-def _labels(
-    partner: tuple[int, ...],
-    label: tuple[int, ...],
-    core: StateVector | None = None,
-    core_qubits: tuple[int, ...] = (),
-) -> LabelRegister:
+def _labels(partner: tuple[int, ...], label: tuple[int, ...]) -> LabelRegister:
     """A LabelRegister from tables the caller has already made consistent."""
     register = object.__new__(LabelRegister)
     _set(register, "partner", partner)
     _set(register, "label", label)
-    _set(register, "core", core)
-    _set(register, "core_qubits", core_qubits)
     return register
-
-
-def absorb(register: LabelRegister, qubits: Sequence[int]) -> LabelRegister:
-    """The register with the pairs of the listed qubits moved into its core.
-
-    The new core is the ``tensor`` of the old core (if any) and the absorbed
-    pairs' Bell states, pairs in order of their lower qubit, lower qubit
-    first. Qubits already in the core are left where they are.
-    """
-    partner, label = register.partner, register.label
-    if not all(0 <= q < len(partner) for q in qubits):
-        raise ValueError("qubit index out of range")
-    lows = sorted({min(q, partner[q]) for q in qubits if partner[q] >= 0})
-    if not lows:
-        return register
-    absorbed = tuple(q for low in lows for q in (low, partner[low]))
-    new_partner, new_label = list(partner), list(label)
-    for q in absorbed:
-        new_partner[q] = new_label[q] = -1
-    states = [bell_state(BELL_STATES[label[q]]) for q in lows]
-    if register.core is not None:
-        states.insert(0, register.core)
-    core_qubits = register.core_qubits + absorbed
-    return _labels(tuple(new_partner), tuple(new_label), tensor(*states), core_qubits)
-
-
-def on_core(
-    register: StateVector | LabelRegister,
-    qubits: Sequence[int],
-    step: Callable[..., tuple],
-) -> tuple:
-    """``step(state, *positions)`` on the dense state holding the qubits: the register, or its core.
-
-    The step returns a result and the new state. A ``LabelRegister`` first
-    absorbs the qubits' pairs; this returns the result and the register.
-    """
-    if isinstance(register, StateVector):
-        return step(register, *qubits)
-    register = absorb(register, qubits)
-    where = register.core_qubits.index
-    result, core = step(register.core, *(where(q) for q in qubits))
-    return result, _labels(register.partner, register.label, core, register.core_qubits)
 
 
 @functools.cache
@@ -541,8 +469,6 @@ def _measure_labels(
     if qubit_i == qubit_j or not (0 <= qubit_i < n and 0 <= qubit_j < n):
         raise ValueError("qubits must be distinct and in range")
     mate_i, mate_j = partner[qubit_i], partner[qubit_j]
-    if mate_i < 0 or mate_j < 0:
-        return _measure_core(register, qubit_i, qubit_j, rng)
     if mate_i == qubit_j:
         rng.random()  # the draw sample_index makes on the dense engine, outcome certain
         return BELL_STATES[label[qubit_i]], register
@@ -555,30 +481,7 @@ def _measure_labels(
     new_partner[mate_i], new_partner[mate_j] = mate_j, mate_i
     new_label[qubit_i] = new_label[qubit_j] = k
     new_label[mate_i] = new_label[mate_j] = swapped
-    register = _labels(tuple(new_partner), tuple(new_label), register.core, register.core_qubits)
-    return BELL_STATES[k], register
-
-
-def _measure_core(
-    register: LabelRegister, qubit_i: int, qubit_j: int, rng: np.random.Generator
-) -> tuple[BellState, LabelRegister]:
-    """A Bell measurement that touches the core: absorb, measure densely, split the duo out.
-
-    The core factors as Bell state k on the measured duo times
-    ``coeffs[k] / sqrt(p_k)`` on its other qubits, which stay the core.
-    """
-    register = absorb(register, (qubit_i, qubit_j))
-    core_qubits = register.core_qubits
-    ci, cj = core_qubits.index(qubit_i), core_qubits.index(qubit_j)
-    coeffs = _bell_coefficients(register.core, ci, cj)
-    probs = (np.abs(coeffs) ** 2).sum(axis=1).tolist()
-    k = sample_index(probs, rng)
-    rest = tuple(q for q in core_qubits if q != qubit_i and q != qubit_j)
-    core = StateVector(coeffs[k] / math.sqrt(probs[k])) if rest else None
-    partner, label = list(register.partner), list(register.label)
-    partner[qubit_i], partner[qubit_j] = qubit_j, qubit_i
-    label[qubit_i] = label[qubit_j] = k
-    return BELL_STATES[k], _labels(tuple(partner), tuple(label), core, rest)
+    return BELL_STATES[k], _labels(tuple(new_partner), tuple(new_label))
 
 
 def apply_single_qubit(
@@ -586,21 +489,15 @@ def apply_single_qubit(
 ) -> StateVector | LabelRegister:
     """Apply a 2x2 unitary to one qubit of the register.
 
-    On a ``LabelRegister`` any gate acts on a core qubit densely; a qubit of a
-    labelled pair takes only the Paulis X, Y and Z, and any other gate raises
-    ``ValueError``.
+    A ``StateVector`` takes any gate; a ``LabelRegister`` takes only the
+    Paulis X, Y and Z, and any other gate raises ``ValueError``.
     """
     if isinstance(register, LabelRegister):
         if not 0 <= qubit < register.n_qubits:
             raise ValueError("qubit index out of range")
-        if register.partner[qubit] >= 0:
-            return _flip_labels(register, qubit, matrix)
-
-    def gate(state: StateVector, position: int) -> tuple[None, StateVector]:
-        out = np.asarray(matrix, dtype=complex) @ _to_front(state, (position,))
-        return None, _from_front(out, state.n_qubits, (position,))
-
-    return on_core(register, (qubit,), gate)[1]
+        return _flip_labels(register, qubit, matrix)
+    out = np.asarray(matrix, dtype=complex) @ _to_front(register, (qubit,))
+    return _from_front(out, register.n_qubits, (qubit,))
 
 
 # X, Y and Z on either qubit of a Bell pair, with the XOR each applies to its label.
@@ -624,4 +521,4 @@ def _flip_labels(register: LabelRegister, qubit: int, matrix: np.ndarray) -> Lab
     label = list(register.label)
     label[qubit] ^= flip
     label[register.partner[qubit]] ^= flip
-    return _labels(register.partner, tuple(label), register.core, register.core_qubits)
+    return _labels(register.partner, tuple(label))

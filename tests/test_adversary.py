@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from coreqkd import adversary
+from coreqkd import adversary, protocol
 from coreqkd.adversary import (
     EveStrategy,
     _enumerate_attack_branches,
@@ -21,7 +21,6 @@ from coreqkd.quantum import (
     SIGMA_Z,
     BellState,
     Direction,
-    LabelRegister,
     Z_DIR,
     apply_single_qubit,
     bell_outcome_probabilities,
@@ -57,6 +56,12 @@ class TestStrategyValidation:
         with pytest.raises(ValueError, match="sum"):
             EveStrategy.guess_core((0.5, 0.5, 0.5, 0.5))
         EveStrategy.guess_core((0.7, 0.1, 0.1, 0.1))
+
+    def test_guess_weights_may_be_an_array_and_must_not_be_empty(self):
+        weights = np.array([0.7, 0.1, 0.1, 0.1])
+        assert EveStrategy.guess_core(weights) == EveStrategy.guess_core(weights.tolist())
+        with pytest.raises(ValueError, match="four nonnegative"):
+            EveStrategy.guess_core([])
 
     def test_known_key_needs_a_key(self):
         with pytest.raises(ValueError, match="key"):
@@ -277,11 +282,17 @@ class TestBellProbe:
             projectors[0][0, 0] = 0.0
 
     def test_probe_sessions_never_build_the_dense_register(self, monkeypatch):
-        def refuse(self):
-            raise AssertionError("LabelRegister.state() called")
+        """Only a per-block probe session builds one: a dense block each; a one-duo keyed session none."""
+        calls = []
+        original = protocol.tensor
 
-        monkeypatch.setattr(LabelRegister, "state", refuse)
-        for budget in (1, 4):
+        def spy(*states):
+            calls.append(len(states))
+            return original(*states)
+
+        monkeypatch.setattr(protocol, "tensor", spy)
+        for budget, expected in ((1, []), (4, [4] * 40)):
+            calls.clear()
             cfg = SessionConfig(
                 n_blocks=40,
                 control_key=ControlKey.from_indices([0, 1, 2, 3]),
@@ -291,6 +302,7 @@ class TestBellProbe:
                 eve=EveStrategy.bell_probe(budget=budget),
             )
             assert len(run_keyed_session(cfg).eve_log.probes) == 40 * budget
+            assert calls == expected
 
 
 # Identity, then X, Y and Z with the XOR each applies to a Bell label.
@@ -298,7 +310,7 @@ PAULIS = ((None, 0), (SIGMA_X, 2), (SIGMA_Y, 3), (SIGMA_Z, 1))
 
 
 def table_core(row: int) -> tuple:
-    """The dense core of a ``probe_tables`` row, its probed duo and its Bob duos."""
+    """The dense register of a ``probe_tables`` row, its probed duo and its Bob duos."""
     if row < 4:
         return bell_state(BellState(row)), (0, 1), ((0, 1),)
     l0, lj = divmod(row - 4, 4)

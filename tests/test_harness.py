@@ -96,6 +96,10 @@ BAD_SPECS = {
         r"\[rearrangement\] perms: block registers are capped at 8 qubits",
     ),
     "eve_budget_zero": (SESSION + "[eve]\nkind = bell_probe\nbudget = 0\n", r"\[eve\] budget must be >= 1"),
+    "eve_budget_five": (SESSION + "[eve]\nkind = bell_probe\nbudget = 5\n", r"\[eve\] budget"),
+    "odd_requested_key_bits": (
+        SESSION + "mode = bootstrap\nrequested_key_bits = 7\n", r"\[session\] requested_key_bits"
+    ),
     "device_loop_delay_zero": (SESSION + "[device]\nloop_delay = 0\n", r"\[device\] loop_delay must be >= 1"),
     "device_max_circuits_zero": (
         SESSION + "[device]\nmax_circuits = 0\n", r"\[device\] max_circuits must be >= 1"
@@ -230,7 +234,7 @@ PINNED_REPORTS = {
         "5c706127b1052d690da319840e7f20bd72337d3964ff94ace92ac2ec87443cec",
     ),
     # Probes of up to three duos per block under noise, on bootstrap blocks whose
-    # ops mostly differ: the dense core absorbs mismatched pairs and takes Paulis.
+    # ops mostly differ, so Bob measures mismatched pairs of the dense block.
     "bootstrap_bell_probe": (
         "[experiment]\nname = pin-probe-bootstrap\ntrials = 2\nseed = 31\n"
         "[session]\nmode = bootstrap\nn_blocks = 64\nerror_threshold = 1.0\nnoise = 0.1\n"

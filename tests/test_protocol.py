@@ -37,6 +37,7 @@ from coreqkd.quantum import (
     LabelRegister,
     StateVector,
     bell_outcome_probabilities,
+    sample_index,
 )
 from coreqkd.rearrange import ControlKey, CoreOpSet, GroupConfig, op_index_for_block
 from test_adversary import LATIN_OP_SETS
@@ -430,6 +431,7 @@ class TestLabelEngine:
         assert session_result(cfg) == dense_session_result(cfg)
 
     def test_the_dense_run_is_dense(self):
+        """The dense run measures state vectors; a probed session does on both runs."""
         seen = []
         original = protocol.bell_measure
 
@@ -437,33 +439,16 @@ class TestLabelEngine:
             seen.append(type(register))
             return original(register, *args)
 
-        for eve in (EveStrategy.guess_core(), EveStrategy.bell_probe(budget=2)):
+        for eve, engine in ((EveStrategy.guess_core(), LabelRegister), (EveStrategy.bell_probe(budget=2), StateVector)):
             cfg = SessionConfig(n_blocks=3, control_key=KEY_ALL_OPS, eve=eve)
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(protocol, "bell_measure", spy)
                 seen.clear()
                 session_result(cfg)
-                assert set(seen) == {LabelRegister}
+                assert set(seen) == {engine}
                 seen.clear()
                 dense_session_result(cfg)
                 assert set(seen) == {StateVector}
-
-    def test_a_probed_block_keeps_only_the_probed_pairs_dense(self):
-        """One probe per block: a core of the two probed pairs, or of one under the identity op."""
-        sizes = []
-        original = protocol.bell_measure
-
-        def spy(register, *args):
-            sizes.append(len(register.core_qubits))
-            return original(register, *args)
-
-        cfg = SessionConfig(n_blocks=40, control_key=KEY_ALL_OPS, eve=EveStrategy.bell_probe())
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(protocol, "bell_measure", spy)
-            per_block_keyed_session(cfg)
-        firsts = sizes[::4]
-        assert set(firsts) == {2, 4} and max(sizes) == 4
-        assert firsts.count(2) == 10  # the identity op drives one block in four
 
 
 class RawStream:
@@ -509,6 +494,43 @@ def assert_tape_reads_the_per_block_stream(run_tape, eve: EveStrategy | None) ->
         assert tape.bit_generator.state == blocks.bit_generator.state
 
 
+# The label XOR of X, Y and Z, in the order ``channel.depolarize`` draws them.
+NOISE_XOR = (2, 3, 1)
+
+
+def scalar_probe_session(cfg: SessionConfig, stream, ops: list[int]) -> tuple[list, list, list]:
+    """A keyed one-duo probe session read off ``probe_tables`` with ``sample_index``, block by block.
+
+    Returns the prepared and measured labels, pair by pair, and the probe outcomes.
+    """
+    probe, first, second = adversary.probe_tables(cfg.eve.a, cfg.eve.b)
+    quarter, outcomes = cfg.noise / 4.0, np.arange(4)
+    prepared, measured, probes = [], [], []
+    for op in ops:
+        perm = cfg.op_set[op].perm
+        labels = [s.value for s in alice_prepare_block(stream)[0]]
+        j = perm[0]  # the probed duo is upper qubit 0 and the lower qubit of pair j
+        row = labels[0] if j == 0 else 4 + 4 * labels[0] + labels[j]
+        kp = sample_index(probe[row], stream)
+        flips = [0] * 4
+        for qubit in range(8 if cfg.noise else 0):  # upper halves of pairs 0-3, then lower slot p: pair perm[p]
+            u = stream.random()
+            if u < 3.0 * quarter:
+                flips[qubit if qubit < 4 else perm[qubit - 4]] ^= NOISE_XOR[int(u / quarter)]
+        got = [label ^ flip for label, flip in zip(labels, flips)]
+        for k in range(4):
+            if k == 0:
+                got[0] = sample_index(first[kp, row, outcomes ^ flips[0]], stream)
+            elif k == j:
+                got[j] = sample_index(second[kp, row, got[0] ^ flips[0], outcomes ^ flips[j]], stream)
+            else:
+                stream.random()  # Bob's draw on a Bell pair, whose outcome is certain
+        prepared += labels
+        measured += got
+        probes.append(1 - 2 * kp)
+    return prepared, measured, probes
+
+
 class TestProbeTape:
     """Keyed sessions probed on one duo per block: the tape path against the per-block engine."""
 
@@ -534,7 +556,11 @@ class TestProbeTape:
 
     @pytest.mark.parametrize("noise", [0.0, 0.5])
     def test_draws_on_branch_and_noise_boundaries_match_the_per_block_engine(self, noise):
-        """Uniforms exactly on a partial sum of the probe's or Bob's branches, or of ``depolarize``'s."""
+        """Uniforms exactly on a partial sum of the probe's or Bob's branches, or of ``depolarize``'s.
+
+        The per-block engine probes the whole dense block, whose probabilities
+        equal the tables only to rounding, so the reference reads the tables.
+        """
         data = np.random.default_rng(int(noise * 10) + 5)
         edges = [0.0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, *np.nextafter([0.125, 0.375, 0.5, 1.0], 0)]
         n, draws = 60, 2 + 1 + 8 * (noise > 0) + 4
@@ -546,8 +572,13 @@ class TestProbeTape:
         for a, b in PROBE_DIRECTIONS:
             cfg = SessionConfig(n_blocks=n, control_key=KEY_ALL_OPS, noise=noise, eve=EveStrategy.bell_probe(a, b))
             ops = op_index_for_block(cfg.control_key, cfg.group, np.arange(n))
-            got = protocol._run_probe_tape(cfg, RawStream(raws.ravel()), ops)
-            assert got == protocol._run_blocks(cfg, RawStream(raws.ravel()), ops.tolist(), ops.tolist())
+            stream = RawStream(raws.ravel())
+            pairs, _, log = protocol._run_probe_tape(cfg, stream, ops)
+            reference = RawStream(raws.ravel())
+            prepared, measured, outcomes = scalar_probe_session(cfg, reference, ops.tolist())
+            assert pairs.prepared.tolist() == prepared and pairs.measured.tolist() == measured
+            assert [p.outcome for p in log.probes] == outcomes
+            assert stream.used == reference.used == raws.size
 
     def test_only_budget_one_keyed_sessions_skip_the_dense_probe(self, monkeypatch):
         calls = []
