@@ -13,7 +13,6 @@ from .adversary import (
     EveLog,
     EveStrategy,
     eve_bell_probe,
-    eve_guess_core_attack,
     exact_guess_attack_pair_distributions,
     exact_guess_attack_pair_errors,
 )

@@ -152,30 +152,6 @@ class EveLog:
         return float(self._probe_column()["outcome"].mean())
 
 
-def eve_guess_core_attack(
-    register: StateVector | LabelRegister,
-    upper: Sequence[int],
-    lower: Sequence[int],
-    guess: CoreOp,
-    rng: np.random.Generator,
-) -> tuple[StateVector | LabelRegister, tuple[BellState, ...]]:
-    """Measure-and-reprepare interception of one block under a guessed op.
-
-    Eve undoes the rearrangement she guesses, Bell-measures the resulting
-    duos and forwards fresh pairs in the measured symbols with her pairing.
-    The Bell measurement already collapses each duo onto the measured Bell
-    state, which is exactly the state of the fresh pair she re-inserts, so
-    the post-measurement register is the forwarded block. Slot order is
-    untouched: she physically restores the arrangement she found.
-    """
-    restored = invert_core(guess, lower)
-    symbols = []
-    for qa, qb in zip(upper, restored):
-        sym, register = bell_measure(register, qa, qb, rng)
-        symbols.append(sym)
-    return register, tuple(symbols)
-
-
 @functools.lru_cache(maxsize=64)
 def _probe_projectors(a: Direction, b: Direction) -> tuple[np.ndarray, np.ndarray]:
     """Read-only projectors onto the +1 and -1 eigenspaces of (sigma.a)(x)(sigma.b)."""
@@ -300,11 +276,15 @@ def intercept(
         else:
             assert strategy.key is not None
             guess_index = op_index_for_block(strategy.key, strategy.group, block_index)
-        register, symbols = eve_guess_core_attack(
-            register, upper, lower, op_set[guess_index], rng
-        )
-        if log is not None:
-            log.symbols.extend(s._value_ for s in symbols)
+        # Measure and reprepare: Eve undoes the op she guesses and Bell-measures
+        # the restored duos. Each measurement collapses its duo onto the Bell
+        # state she measured, which is the fresh pair she forwards with her
+        # pairing, so the collapsed register is the forwarded block. She
+        # physically restores the arrangement she found.
+        for qa, qb in zip(upper, invert_core(op_set[guess_index], lower)):
+            symbol, register = bell_measure(register, qa, qb, rng)
+            if log is not None:
+                log.symbols.append(symbol._value_)
         return register, guess_index
     # bell_probe: interrogate slot-aligned duos, one per budget unit.
     a, b = strategy.a, strategy.b

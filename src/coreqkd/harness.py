@@ -249,8 +249,9 @@ def trial_config(spec: ExperimentSpec, point: dict, point_index: int, trial_inde
         key_rng = np.random.default_rng(trial_seed(spec.seed, point_index, 2**20 + trial_index))
         control_key = ControlKey.random(point["n_k"], key_rng)
     eve = session.eve
-    # A known_key Eve holding the session's key holds the key drawn for this trial.
-    if eve is None or eve.kind != point["eve"] or eve.key == session.control_key:
+    # ``_eve`` hands a known_key Eve given no key the session's own ControlKey object, and
+    # only she follows the key drawn for this trial: one given an equal key keeps it.
+    if eve is None or eve.kind != point["eve"] or eve.key is session.control_key:
         eve = _eve(point["eve"], {}, control_key, session.group)
     return replace(
         session,

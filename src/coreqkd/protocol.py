@@ -25,34 +25,33 @@ sets are also sequences that build a ``PairRecord`` or ``BlockRecord`` each
 time one is read (nothing is cached), and a transcript given records
 instead of columns packs them into the same columns.
 
-Engines. A session runs block by block (``_run_blocks``): prepare a
-block, ``transmit`` it through Eve and the noise, and let Bob Bell-measure
-each restored pair. The register is chosen once per session from the Eve
-kind: under a ``bell_probe`` Eve, whose probe is not Clifford, every block
-is the dense ``tensor`` of Alice's four Bell states; every other block is a
-``LabelRegister``. Two kinds of keyed session, chosen from
-the session's own mode, Eve kind and budget, skip the loop: one with no Eve
-(``_run_clean_tape``) and one whose Eve is a ``bell_probe`` with
-``budget == 1`` (``_run_probe_tape``). Their blocks all make the same run of
-draws: 2 raw 64-bit draws for the symbols, 1 uniform for the probe if there
-is one, 8 when ``noise > 0`` (upper qubits 0, 2, 4, 6, then lower slots 0-3,
-slot p on qubit ``2*perm[p] + 1``) and 4 for Bob's pairs in slot order. So
-one ``random_raw`` tape of n_blocks rows (``_session_tape``) replays the
+Engines. ``_run_session`` draws both parties' ops and makes the one engine
+choice, from the session's mode, Eve kind and budget. A keyed session with
+no Eve, or whose Eve is a ``bell_probe`` with ``budget == 1``, runs from one
+raw-draw tape (``_run_tape``); every other session runs block by block
+(``_run_blocks``): prepare a block, ``transmit`` it through Eve and the
+noise, and let Bob Bell-measure each restored pair. Under a ``bell_probe``
+Eve, whose probe is not Clifford, every such block is the dense ``tensor``
+of Alice's four Bell states; every other block is a ``LabelRegister``.
+A tape block makes a fixed run of draws: 2 raw 64-bit draws for the
+symbols, 1 uniform for the probe if there is one, 8 when ``noise > 0``
+(upper qubits 0, 2, 4, 6, then lower slots 0-3, slot p on qubit
+``2*perm[p] + 1``) and 4 for Bob's pairs in slot order. So one
+``random_raw`` tape of n_blocks rows (``_session_tape``) replays the
 session, and the check's draws continue the same stream. Noise is an XOR:
 X, Y and Z on a qubit of a Bell pair map Bell state k to k ^ 2, k ^ 3 and
-k ^ 1. Without Eve every pair stays a Bell pair, so ``measured = label ^
-flips``; Bob's draws are spent unread, as ``_measure_labels`` spends them on
-a certain outcome. The probe entangles pair 0 alone (op ``perm[0] == 0``)
-or pairs 0 and ``j = perm[0]``, and every other pair stays a Bell pair.
+k ^ 1, and a pair that stays a Bell pair measures ``label ^ flips``; Bob's
+draws on it are spent unread, as ``_measure_labels`` spends them on a
+certain outcome. The probe entangles pair 0 alone (op ``perm[0] == 0``) or
+pairs 0 and ``j = perm[0]``, whose outcomes the tape overwrites.
 ``adversary.probe_tables(a, b)`` holds the probe's branch probabilities,
 Bob's pair-0 Bell probabilities in each branch, and his pair-j
 probabilities given pair 0's outcome, all computed once on a dense register
-of just the probed pairs. Flips only permute the table columns Bob reads,
-and every other pair reads ``label ^ flips``. Each outcome is drawn by
-``quantum.sample_rows``, ``sample_index``'s rule row by row. The tables
-equal the dense block's probabilities to rounding (up to about 1e-16), so
-only a draw that close to a branch boundary could tell the tape from the
-per-block engine.
+of just the probed pairs. Flips only permute the table columns Bob reads.
+Each outcome is drawn by ``quantum.sample_rows``, ``sample_index``'s rule
+row by row. The tables equal the dense block's probabilities to rounding
+(up to about 1e-16), so only a draw that close to a branch boundary could
+tell the tape from the per-block engine.
 """
 
 from __future__ import annotations
@@ -511,73 +510,63 @@ def _session_tape(
     return labels, u[:, :eve_draws], flips, u[:, -size:]
 
 
-def _op_perms(cfg: SessionConfig, ops: np.ndarray) -> np.ndarray:
-    return np.array([op.perm for op in cfg.op_set])[ops]
-
-
-def _keyed_columns(
-    ops: np.ndarray, labels: np.ndarray, measured: np.ndarray
-) -> tuple[PairColumns, BlockColumns]:
-    """The columns of a keyed session: every pair sifted, none checked yet, no guess."""
-    flags = np.zeros(labels.size, bool)
-    pairs = PairColumns(labels.ravel(), measured.ravel(), flags, ~flags)
-    return pairs, BlockColumns(ops, ops, np.full(len(ops), -1))
-
-
-def _run_clean_tape(
+def _run_tape(
     cfg: SessionConfig, rng: np.random.Generator, ops: np.ndarray
-) -> tuple[PairColumns, BlockColumns, None]:
-    """``_run_blocks`` for a keyed session with no Eve: Bob reads each pair's ``label ^ flips``."""
-    labels, _, flips, _ = _session_tape(cfg, rng, _op_perms(cfg, ops), 0)
-    return (*_keyed_columns(ops, labels, labels ^ flips), None)
+) -> tuple[PairColumns, BlockColumns, EveLog | None]:
+    """``_run_blocks`` for a keyed session with no Eve or one probing one duo per block.
 
-
-def _run_probe_tape(
-    cfg: SessionConfig, rng: np.random.Generator, ops: np.ndarray
-) -> tuple[PairColumns, BlockColumns, EveLog]:
-    """``_run_blocks`` for a keyed session whose Eve probes one duo per block.
-
-    The probe and Bob's core measurements read ``probe_tables`` and noise
-    XORs labels (see the module docstring).
+    Bob reads each pair's ``label ^ flips``. Under the probe, the probe and
+    Bob's measurements of the probed pairs read ``probe_tables`` (see the
+    module docstring).
     """
-    perms = _op_perms(cfg, ops)
-    labels, eve, flips, bob = _session_tape(cfg, rng, perms, 1)
+    perms = np.array([op.perm for op in cfg.op_set])[ops]
+    probed = cfg.eve is not None
+    labels, eve, flips, bob = _session_tape(cfg, rng, perms, int(probed))
     measured = labels ^ flips
-    j = perms[:, 0]
-    table_row = probe_table_rows(labels, j)
-    probe, first, second = probe_tables(cfg.eve.a, cfg.eve.b)
-    kp = sample_rows(probe[table_row], eve[:, 0])
-    # A Pauli XORs a Bell outcome, so flips permute the columns of a table row.
-    outcomes = np.arange(4, dtype=np.uint8)
-    f0 = flips[:, 0, None]
-    measured[:, 0] = sample_rows(first[kp[:, None], table_row[:, None], outcomes ^ f0], bob[:, 0])
-    two = np.flatnonzero(j)
-    jt = j[two]
-    given_r0 = measured[two, :1] ^ f0[two]
-    conditional = second[kp[two, None], table_row[two, None], given_r0, outcomes ^ flips[two, jt, None]]
-    measured[two, jt] = sample_rows(conditional, bob[two, jt])
-    rows = np.arange(cfg.n_blocks)
-    log = EveLog.of_probes(rows, np.zeros_like(rows), 1 - 2 * kp)
-    return (*_keyed_columns(ops, labels, measured), log)
+    log = None
+    if probed:
+        j = perms[:, 0]
+        table_row = probe_table_rows(labels, j)
+        probe, first, second = probe_tables(cfg.eve.a, cfg.eve.b)
+        kp = sample_rows(probe[table_row], eve[:, 0])
+        # A Pauli XORs a Bell outcome, so flips permute the columns of a table row.
+        outcomes = np.arange(4, dtype=np.uint8)
+        f0 = flips[:, 0, None]
+        measured[:, 0] = sample_rows(first[kp[:, None], table_row[:, None], outcomes ^ f0], bob[:, 0])
+        two = np.flatnonzero(j)
+        jt = j[two]
+        given_r0 = measured[two, :1] ^ f0[two]
+        conditional = second[kp[two, None], table_row[two, None], given_r0, outcomes ^ flips[two, jt, None]]
+        measured[two, jt] = sample_rows(conditional, bob[two, jt])
+        rows = np.arange(cfg.n_blocks)
+        log = EveLog.of_probes(rows, np.zeros_like(rows), 1 - 2 * kp)
+    flags = np.zeros(labels.size, bool)  # every pair sifted, none checked yet
+    pairs = PairColumns(labels.ravel(), measured.ravel(), flags, ~flags)
+    return pairs, BlockColumns(ops, ops, np.full(len(ops), -1)), log
 
 
-def _checked_transcript(
-    cfg: SessionConfig,
-    rng: np.random.Generator,
-    pairs: PairColumns,
-    blocks: BlockColumns,
-    log: EveLog | None,
-) -> SessionTranscript:
-    """Run the eavesdropping check over the sifted pairs and seal the transcript.
+def _run_session(cfg: SessionConfig) -> SessionTranscript:
+    """Draw both parties' ops, run the blocks on their engine and check the sifted pairs.
 
-    Every pair of a keyed session is sifted. A bootstrap session that sifted
-    no block is rejected without a check.
+    The one engine choice: a keyed session with no Eve, or whose Eve probes
+    one duo per block, runs from the tape; every other session runs block
+    by block. A bootstrap session that sifted no block is rejected without
+    a check.
     """
+    rng = np.random.default_rng(cfg.seed)
+    if cfg.mode == "keyed":
+        alice_ops = bob_ops = op_index_for_block(cfg.control_key, cfg.group, np.arange(cfg.n_blocks))
+    else:
+        alice_ops = rng.integers(0, 4, size=cfg.n_blocks)
+        bob_ops = rng.integers(0, 4, size=cfg.n_blocks)
+    eve = cfg.eve
+    if cfg.mode == "keyed" and (eve is None or (eve.kind == "bell_probe" and eve.budget == 1)):
+        pairs, blocks, log = _run_tape(cfg, rng, alice_ops)
+    else:
+        pairs, blocks, log = _run_blocks(cfg, rng, alice_ops.tolist(), bob_ops.tolist())
     eligible = np.flatnonzero(pairs.sifted)
     if eligible.size:
-        verdict, pairs = _check_records(
-            pairs, cfg.check_fraction, cfg.error_threshold, rng, eligible
-        )
+        verdict, pairs = _check_records(pairs, cfg.check_fraction, cfg.error_threshold, rng, eligible)
     else:
         verdict = VerdictReport(False, 1.0, cfg.error_threshold, 0)
     return SessionTranscript(cfg.mode, pairs, blocks, verdict, log)
@@ -592,15 +581,7 @@ def run_keyed_session(cfg: SessionConfig) -> SessionTranscript:
     """
     if cfg.mode != "keyed":
         raise ValueError("config mode is not 'keyed'")
-    rng = np.random.default_rng(cfg.seed)
-    ops = op_index_for_block(cfg.control_key, cfg.group, np.arange(cfg.n_blocks))
-    eve = cfg.eve
-    if eve is None:
-        return _checked_transcript(cfg, rng, *_run_clean_tape(cfg, rng, ops))
-    if eve.kind == "bell_probe" and eve.budget == 1:
-        return _checked_transcript(cfg, rng, *_run_probe_tape(cfg, rng, ops))
-    ops = ops.tolist()
-    return _checked_transcript(cfg, rng, *_run_blocks(cfg, rng, ops, ops))
+    return _run_session(cfg)
 
 
 def run_bootstrap_session(
@@ -616,10 +597,7 @@ def run_bootstrap_session(
     """
     if cfg.mode != "bootstrap":
         raise ValueError("config mode is not 'bootstrap'")
-    rng = np.random.default_rng(cfg.seed)
-    alice_ops = rng.integers(0, 4, size=cfg.n_blocks).tolist()
-    bob_ops = rng.integers(0, 4, size=cfg.n_blocks).tolist()
-    transcript = _checked_transcript(cfg, rng, *_run_blocks(cfg, rng, alice_ops, bob_ops))
+    transcript = _run_session(cfg)
     if not transcript.accepted:
         return None, transcript
     bits = transcript.raw_key()

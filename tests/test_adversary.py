@@ -21,6 +21,7 @@ from coreqkd.quantum import (
     SIGMA_Z,
     BellState,
     Direction,
+    X_DIR,
     Z_DIR,
     apply_single_qubit,
     bell_outcome_probabilities,
@@ -367,6 +368,27 @@ class TestProbeTables:
         dense_values, table_values = np.concatenate(dense), np.concatenate(table)
         assert dense_values.size > (60_000 if every_pattern else 300)
         np.testing.assert_allclose(dense_values, table_values, rtol=0, atol=1e-12)
+
+    def test_the_probe_is_certain_on_a_genuine_duo(self):
+        """ZZ reads a genuine duo's high key bit, XX its low bit; a mismatched duo reads 1/2."""
+        np.testing.assert_allclose(probe_tables(Z_DIR, Z_DIR)[0][:4, 0], [0, 0, 1, 1], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(probe_tables(X_DIR, X_DIR)[0][:4, 0], [0, 1, 0, 1], rtol=0, atol=1e-12)
+        rng = np.random.default_rng(30)
+        for _ in range(5):
+            probe = probe_tables(random_direction(rng), random_direction(rng))[0]
+            np.testing.assert_allclose(probe[4:, 0], 0.5, rtol=0, atol=1e-12)
+        # Under a uniform key the slot-0 duo is genuine in 1/4 of blocks, so the ZZ
+        # probe agrees with Alice's high key bit of pair 0 in 1/4 + 3/4 * 1/2 = 5/8 of them.
+        labels = np.array(list(itertools.product(range(4), repeat=4)))  # every block, uniform
+        plus = probe_tables(Z_DIR, Z_DIR)[0][:, 0]
+        high_bit = labels[:, 0] >> 1
+        for op_set in LATIN_OP_SETS:
+            assert sum(op.perm[0] == 0 for op in op_set) == 1
+            agree = []
+            for op in op_set:
+                p_plus = plus[adversary.probe_table_rows(labels, np.full(len(labels), op.perm[0]))]
+                agree.append(np.where(high_bit, p_plus, 1.0 - p_plus).mean())
+            assert np.mean(agree) == pytest.approx(5 / 8, abs=1e-12)
 
     def test_tables_are_built_once_per_direction_pair_and_read_only(self):
         a, b = Direction.normalized(2, 1, 0), Direction.normalized(0, 1, 5)

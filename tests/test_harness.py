@@ -368,12 +368,14 @@ class TestRunExperiment:
         assert all(r.mean_error_rate == 0.0 for r in rows)
 
     def test_known_key_eve_with_an_explicit_key_keeps_it(self):
-        text = (
-            "[experiment]\nseed = 4\n[session]\nn_blocks = 200\nerror_threshold = 1.0\n"
-            "[eve]\nkind = known_key\nkey = 01\n[sweep]\nkey_lengths = 4\n"
-        )
-        rows = run_experiment(parse_experiment_string(text))
-        assert rows[0].mean_error_rate > 0.2
+        """Also when her key equals the session key and the sweep redraws the trial key."""
+        for session_key, eve_key, n_k in (("0001", "01", 4), ("00011011", "00011011", 1)):
+            text = (
+                f"[experiment]\nseed = 4\n[session]\nn_blocks = 200\ncontrol_key = {session_key}\n"
+                f"error_threshold = 1.0\n[eve]\nkind = known_key\nkey = {eve_key}\n[sweep]\nkey_lengths = {n_k}\n"
+            )
+            rows = run_experiment(parse_experiment_string(text))
+            assert rows[0].mean_error_rate > 0.2, eve_key
 
     def test_key_length_sweep_draws_keys_per_point(self):
         spec = tiny_spec(sweep=SweepAxes(key_lengths=(1, 3)), error_threshold=1.0)

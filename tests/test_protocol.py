@@ -362,11 +362,16 @@ def session_result(cfg: SessionConfig):
         return str(exc)
 
 
+def blocks_for_tape(cfg: SessionConfig, rng, ops: np.ndarray):
+    """``_run_tape``'s stand-in: the same keyed blocks on the per-block engine."""
+    return protocol._run_blocks(cfg, rng, ops.tolist(), ops.tolist())
+
+
 def per_block_keyed_session(cfg: SessionConfig) -> SessionTranscript:
     """A keyed session on the per-block engine, which ``run_keyed_session`` skips without Eve or for one-duo probes."""
-    rng = np.random.default_rng(cfg.seed)
-    ops = op_index_for_block(cfg.control_key, cfg.group, np.arange(cfg.n_blocks)).tolist()
-    return protocol._checked_transcript(cfg, rng, *protocol._run_blocks(cfg, rng, ops, ops))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(protocol, "_run_tape", blocks_for_tape)
+        return run_keyed_session(cfg)
 
 
 def per_block_session_result(cfg: SessionConfig):
@@ -481,19 +486,6 @@ def raw_draws(u: np.ndarray, data: np.random.Generator) -> np.ndarray:
     return ((u * 2.0**53).astype(np.uint64) << np.uint64(11)) | data.integers(0, 2**11, size=u.shape, dtype=np.uint64)
 
 
-def assert_tape_reads_the_per_block_stream(run_tape, eve: EveStrategy | None) -> None:
-    """A tape engine and ``_run_blocks`` on twin generators: equal columns, then equal generator states."""
-    for noise, seed, op_set in itertools.product((0.0, 0.1), range(3), [CoreOpSet.cyclic(), NON_CYCLIC]):
-        cfg = SessionConfig(n_blocks=50, control_key=KEY_ALL_OPS, seed=seed, noise=noise, eve=eve, op_set=op_set)
-        ops = op_index_for_block(cfg.control_key, cfg.group, np.arange(cfg.n_blocks))
-        tape, blocks = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = run_tape(cfg, tape, ops)
-        expected = protocol._run_blocks(cfg, blocks, ops.tolist(), ops.tolist())
-        assert got == expected
-        assert got[0].prepared.dtype == got[0].measured.dtype == np.uint8
-        assert tape.bit_generator.state == blocks.bit_generator.state
-
-
 # The label XOR of X, Y and Z, in the order ``channel.depolarize`` draws them.
 NOISE_XOR = (2, 3, 1)
 
@@ -551,9 +543,6 @@ class TestProbeTape:
             )
             assert run_keyed_session(cfg) == per_block_keyed_session(cfg)
 
-    def test_the_tape_reads_the_per_block_stream(self):
-        assert_tape_reads_the_per_block_stream(protocol._run_probe_tape, EveStrategy.bell_probe())
-
     @pytest.mark.parametrize("noise", [0.0, 0.5])
     def test_draws_on_branch_and_noise_boundaries_match_the_per_block_engine(self, noise):
         """Uniforms exactly on a partial sum of the probe's or Bob's branches, or of ``depolarize``'s.
@@ -573,30 +562,12 @@ class TestProbeTape:
             cfg = SessionConfig(n_blocks=n, control_key=KEY_ALL_OPS, noise=noise, eve=EveStrategy.bell_probe(a, b))
             ops = op_index_for_block(cfg.control_key, cfg.group, np.arange(n))
             stream = RawStream(raws.ravel())
-            pairs, _, log = protocol._run_probe_tape(cfg, stream, ops)
+            pairs, _, log = protocol._run_tape(cfg, stream, ops)
             reference = RawStream(raws.ravel())
             prepared, measured, outcomes = scalar_probe_session(cfg, reference, ops.tolist())
             assert pairs.prepared.tolist() == prepared and pairs.measured.tolist() == measured
             assert [p.outcome for p in log.probes] == outcomes
             assert stream.used == reference.used == raws.size
-
-    def test_only_budget_one_keyed_sessions_skip_the_dense_probe(self, monkeypatch):
-        calls = []
-        original = adversary.eve_bell_probe
-
-        def spy(*args):
-            calls.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(adversary, "eve_bell_probe", spy)
-        for mode, budget, expected in (("keyed", 1, 0), ("keyed", 2, 40), ("bootstrap", 1, 20)):
-            calls.clear()
-            cfg = SessionConfig(
-                n_blocks=20, control_key=KEY_ALL_OPS, mode=mode, error_threshold=1.0,
-                eve=EveStrategy.bell_probe(budget=budget),
-            )
-            session_result(cfg)
-            assert len(calls) == expected
 
 
 class TestCleanTape:
@@ -618,9 +589,6 @@ class TestCleanTape:
             )
             assert run_keyed_session(cfg) == per_block_keyed_session(cfg)
 
-    def test_the_tape_reads_the_per_block_stream(self):
-        assert_tape_reads_the_per_block_stream(protocol._run_clean_tape, None)
-
     @pytest.mark.parametrize("noise", [0.5, 0.75])
     def test_noise_draws_on_boundaries_match_the_per_block_engine(self, noise):
         """Noise uniforms exactly on ``k * quarter`` and just below ``3 * quarter``."""
@@ -633,31 +601,50 @@ class TestCleanTape:
         for op_set in (CoreOpSet.cyclic(), NON_CYCLIC):
             cfg = SessionConfig(n_blocks=n, control_key=KEY_ALL_OPS, noise=noise, op_set=op_set)
             ops = op_index_for_block(cfg.control_key, cfg.group, np.arange(n))
-            got = protocol._run_clean_tape(cfg, RawStream(raws.ravel()), ops)
-            assert got == protocol._run_blocks(cfg, RawStream(raws.ravel()), ops.tolist(), ops.tolist())
+            got = protocol._run_tape(cfg, RawStream(raws.ravel()), ops)
+            assert got == blocks_for_tape(cfg, RawStream(raws.ravel()), ops)
 
-    def test_only_keyed_eve_free_sessions_skip_the_block_loop(self, monkeypatch):
-        calls = []
-        for name in ("alice_prepare_block", "transmit"):
+
+class TestTape:
+    """Which sessions run from the tape, and the tape against the per-block engine's stream."""
+
+    @pytest.mark.parametrize("eve", [None, EveStrategy.bell_probe()], ids=["no-eve", "bell_probe"])
+    def test_the_tape_reads_the_per_block_stream(self, eve):
+        """``_run_tape`` and ``_run_blocks`` on twin generators: equal columns, then equal generator states."""
+        for noise, seed, op_set in itertools.product((0.0, 0.1), range(3), [CoreOpSet.cyclic(), NON_CYCLIC]):
+            cfg = SessionConfig(n_blocks=50, control_key=KEY_ALL_OPS, seed=seed, noise=noise, eve=eve, op_set=op_set)
+            ops = op_index_for_block(cfg.control_key, cfg.group, np.arange(cfg.n_blocks))
+            tape, blocks = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = protocol._run_tape(cfg, tape, ops)
+            assert got == blocks_for_tape(cfg, blocks, ops)
+            assert got[0].prepared.dtype == got[0].measured.dtype == np.uint8
+            assert tape.bit_generator.state == blocks.bit_generator.state
+
+    def test_the_engine_of_each_mode_and_eve(self, monkeypatch):
+        """Only keyed sessions with no Eve or a one-duo probe run from the tape."""
+        ran = []
+        for name in ("_run_tape", "_run_blocks"):
             original = getattr(protocol, name)
 
-            def spy(*args, _name=name, _original=original, **kwargs):
-                calls.append(_name)
-                return _original(*args, **kwargs)
+            def spy(*args, _name=name, _original=original):
+                ran.append(_name)
+                return _original(*args)
 
             monkeypatch.setattr(protocol, name, spy)
-        for mode, eve, expected in (
-            ("keyed", None, 0),
-            ("keyed", EveStrategy.guess_core(), 20),
-            ("bootstrap", None, 20),
-        ):
-            for noise in (0.0, 0.1):
-                calls.clear()
-                cfg = SessionConfig(
-                    n_blocks=20, control_key=KEY_ALL_OPS, mode=mode, eve=eve, noise=noise, error_threshold=1.0
-                )
-                session_result(cfg)
-                assert calls.count("alice_prepare_block") == calls.count("transmit") == expected
+        table = [  # each Eve with the engine of her keyed sessions; every bootstrap session runs block by block
+            (None, "_run_tape"),
+            (EveStrategy.guess_core(), "_run_blocks"),
+            (EveStrategy.known_key(KEY_ALL_OPS), "_run_blocks"),
+            (EveStrategy.bell_probe(budget=1), "_run_tape"),
+            (EveStrategy.bell_probe(budget=2), "_run_blocks"),
+        ]
+        for (eve, keyed_engine), mode, noise in itertools.product(table, ("keyed", "bootstrap"), (0.0, 0.1)):
+            ran.clear()
+            cfg = SessionConfig(
+                n_blocks=20, control_key=KEY_ALL_OPS, mode=mode, eve=eve, noise=noise, error_threshold=1.0
+            )
+            session_result(cfg)
+            assert ran == [keyed_engine if mode == "keyed" else "_run_blocks"], (mode, eve)
 
 
 def transcript_of(cfg: SessionConfig) -> SessionTranscript:
