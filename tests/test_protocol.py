@@ -569,6 +569,24 @@ class TestProbeTape:
             assert [p.outcome for p in log.probes] == outcomes
             assert stream.used == reference.used == raws.size
 
+    def test_only_budget_one_keyed_sessions_skip_the_dense_probe(self, monkeypatch):
+        calls = []
+        original = adversary.eve_bell_probe
+
+        def spy(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(adversary, "eve_bell_probe", spy)
+        for mode, budget, expected in (("keyed", 1, 0), ("keyed", 2, 40), ("bootstrap", 1, 20)):
+            calls.clear()
+            cfg = SessionConfig(
+                n_blocks=20, control_key=KEY_ALL_OPS, mode=mode, error_threshold=1.0,
+                eve=EveStrategy.bell_probe(budget=budget),
+            )
+            session_result(cfg)
+            assert len(calls) == expected
+
 
 class TestCleanTape:
     """Keyed sessions with no Eve: the tape path against the per-block engine."""
@@ -603,6 +621,29 @@ class TestCleanTape:
             ops = op_index_for_block(cfg.control_key, cfg.group, np.arange(n))
             got = protocol._run_tape(cfg, RawStream(raws.ravel()), ops)
             assert got == blocks_for_tape(cfg, RawStream(raws.ravel()), ops)
+
+    def test_only_keyed_eve_free_sessions_skip_the_block_loop(self, monkeypatch):
+        calls = []
+        for name in ("alice_prepare_block", "transmit"):
+            original = getattr(protocol, name)
+
+            def spy(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(protocol, name, spy)
+        for mode, eve, expected in (
+            ("keyed", None, 0),
+            ("keyed", EveStrategy.guess_core(), 20),
+            ("bootstrap", None, 20),
+        ):
+            for noise in (0.0, 0.1):
+                calls.clear()
+                cfg = SessionConfig(
+                    n_blocks=20, control_key=KEY_ALL_OPS, mode=mode, eve=eve, noise=noise, error_threshold=1.0
+                )
+                session_result(cfg)
+                assert calls.count("alice_prepare_block") == calls.count("transmit") == expected
 
 
 class TestTape:
