@@ -3,8 +3,10 @@
 Three attacks are modelled, all acting on whole blocks between the two
 parties: a measure-and-reprepare attack that guesses the rearrangement
 (``guess_core``), the same attack driven by a key Eve already holds
-(``known_key``), and a two-outcome correlation probe along arbitrary
-directions (``bell_probe``). Strategies never touch the authenticated
+(``known_key``: she plays the session's key schedule, on her own key or on
+the session's key), and a two-outcome correlation probe along arbitrary
+directions (``bell_probe``). ``intercept`` reads Eve, the op set, the key
+and its group from the session. Strategies never touch the authenticated
 classical channel, and a session with no Eve has ``eve = None``.
 
 Each attack has one model. ``exact_guess_attack_pair_distributions``
@@ -23,7 +25,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -48,11 +50,13 @@ from .quantum import (
     tensor,
 )
 from .rearrange import (
-    BLOCK_SIZE, LOWER, UPPER, ControlKey, CoreOp, CoreOpSet, GroupConfig,
-    apply_core, invert_core, op_index_for_block,
+    BLOCK_SIZE, LOWER, UPPER, ControlKey, CoreOp, apply_core, invert_core, op_index_for_block,
 )
 
-# Each kind with its own parameters; known_key's key group comes from the session.
+if TYPE_CHECKING:
+    from .protocol import SessionConfig
+
+# Each kind with its own parameters; known_key's group, and her key if she has none, are the session's.
 EVE_KINDS = {
     "guess_core": ("weights",),
     "known_key": ("key",),
@@ -67,7 +71,6 @@ class EveStrategy:
     kind: str
     weights: tuple[float, float, float, float] | None = None
     key: ControlKey | None = None
-    group: GroupConfig = GroupConfig()
     a: Direction | None = None
     b: Direction | None = None
     budget: int = 1
@@ -80,8 +83,6 @@ class EveStrategy:
                 raise ValueError("weights must be four nonnegative numbers")
             if not abs(sum(self.weights) - 1.0) <= 1e-9:
                 raise ValueError("weights must sum to 1")
-        if self.kind == "known_key" and self.key is None:
-            raise ValueError("known_key strategy needs a control key")
         if self.kind == "bell_probe":
             if self.a is None or self.b is None:
                 raise ValueError("bell_probe strategy needs two directions")
@@ -95,8 +96,9 @@ class EveStrategy:
         return cls(kind="guess_core", weights=None if weights is None else tuple(weights))
 
     @classmethod
-    def known_key(cls, key: ControlKey, group: GroupConfig = GroupConfig()) -> "EveStrategy":
-        return cls(kind="known_key", key=key, group=group)
+    def known_key(cls, key: ControlKey | None = None) -> "EveStrategy":
+        """Eve who plays the session's key schedule on ``key``; with none she holds the session's key."""
+        return cls(kind="known_key", key=key)
 
     @classmethod
     def bell_probe(cls, a: Direction = X_DIR, b: Direction = Z_DIR, budget: int = 1) -> "EveStrategy":
@@ -255,33 +257,33 @@ def probe_tables(a: Direction, b: Direction) -> tuple[np.ndarray, np.ndarray, np
 
 
 def intercept(
-    strategy: EveStrategy,
+    session: SessionConfig,
     register: StateVector | LabelRegister,
     upper: Sequence[int],
     lower: Sequence[int],
     block_index: int,
-    op_set: CoreOpSet,
     rng: np.random.Generator,
     log: EveLog | None = None,
 ) -> tuple[StateVector | LabelRegister, int | None]:
-    """Apply a strategy to one in-flight block.
+    """Apply the session's Eve to one in-flight block.
 
     Returns the forwarded register and, for rearrangement-guessing attacks,
     the guessed op index.
     """
+    strategy = session.eve
     if strategy.kind in ("guess_core", "known_key"):
         if strategy.kind == "guess_core":
             weights = strategy.weights or (0.25, 0.25, 0.25, 0.25)
             guess_index = sample_index(weights, rng)
         else:
-            assert strategy.key is not None
-            guess_index = op_index_for_block(strategy.key, strategy.group, block_index)
+            key = session.control_key if strategy.key is None else strategy.key
+            guess_index = op_index_for_block(key, session.group, block_index)
         # Measure and reprepare: Eve undoes the op she guesses and Bell-measures
         # the restored duos. Each measurement collapses its duo onto the Bell
         # state she measured, which is the fresh pair she forwards with her
         # pairing, so the collapsed register is the forwarded block. She
         # physically restores the arrangement she found.
-        for qa, qb in zip(upper, invert_core(op_set[guess_index], lower)):
+        for qa, qb in zip(upper, invert_core(session.op_set[guess_index], lower)):
             symbol, register = bell_measure(register, qa, qb, rng)
             if log is not None:
                 log.symbols.append(symbol._value_)

@@ -11,12 +11,16 @@ the register back.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from . import adversary
-from .adversary import EveLog, EveStrategy
+from .adversary import EveLog
 from .quantum import SIGMA_X, SIGMA_Y, SIGMA_Z, LabelRegister, StateVector, apply_single_qubit
-from .rearrange import CoreOpSet
+
+if TYPE_CHECKING:
+    from .protocol import SessionConfig
 
 _PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
@@ -49,26 +53,23 @@ def transmit(
     register: StateVector | LabelRegister,
     upper: tuple[int, ...],
     lower: tuple[int, ...],
-    eve: EveStrategy | None,
-    noise: float,
+    session: SessionConfig,
     rng: np.random.Generator,
     *,
-    op_set: CoreOpSet,
     block_index: int = 0,
     log: EveLog | None = None,
 ) -> tuple[StateVector | LabelRegister, int | None]:
-    """Transport one block through both insecure lines.
+    """Transport one block of ``session`` through both insecure lines.
 
     Slot k travels as qubit ``upper[k]`` on the upper line and qubit
-    ``lower[k]`` on the lower one. Applies the adversary strategy (if any),
-    then per-qubit depolarizing noise on every transmitted qubit; with no
-    adversary and zero noise the delivery is exact. Returns the delivered
-    register and the adversary's guessed op index, when the strategy
-    guesses one.
+    ``lower[k]`` on the lower one. Applies the session's Eve (if any), then
+    per-qubit depolarizing noise at the session's rate on every transmitted
+    qubit; with no Eve and zero noise the delivery is exact. Returns the
+    delivered register and Eve's guessed op index, when she guesses one.
     """
     guess: int | None = None
-    if eve is not None:
-        register, guess = adversary.intercept(eve, register, upper, lower, block_index, op_set, rng, log)
-    if noise > 0.0:
-        register = depolarize(register, upper + lower, noise, rng)
+    if session.eve is not None:
+        register, guess = adversary.intercept(session, register, upper, lower, block_index, rng, log)
+    if session.noise > 0.0:
+        register = depolarize(register, upper + lower, session.noise, rng)
     return register, guess

@@ -26,8 +26,8 @@ section headers (INI syntax, parsed with the standard library)::
     b = 0 0 1
     budget = 1                  ; duos probed per block, 1..4
     ; guess_core: weights = 0.25 0.25 0.25 0.25
-    ; known_key:  key = 0001    Eve's bit string; empty = the session key,
-    ;                           still hers when key_lengths redraws it
+    ; known_key:  key = 0001    Eve's bit string, kept when key_lengths redraws
+    ;                           the session key; empty = each session's own key
 
     [sweep]                     ; optional; every key is an axis, grid = product
     noise = 0.0 0.05 0.1
@@ -180,8 +180,8 @@ class CellError(RuntimeError):
     """A session of one sweep cell failed; the message names the cell and trial."""
 
 
-def _eve(kind: str, params: dict, control_key: ControlKey, group: GroupConfig) -> EveStrategy | None:
-    """Eve of ``kind`` from her ``[eve]`` keys, None for kind none; a known_key Eve given no key holds ``control_key``."""
+def _eve(kind: str, params: dict) -> EveStrategy | None:
+    """Eve of ``kind`` from her ``[eve]`` keys, None for kind none; a known_key Eve given no key holds the session's."""
     kinds = {"none": (), **EVE_KINDS}
     if kind not in kinds:
         raise ValueError(f"kind {kind!r} is not one of {' '.join(kinds)}")
@@ -193,7 +193,7 @@ def _eve(kind: str, params: dict, control_key: ControlKey, group: GroupConfig) -
     if kind == "guess_core":
         return EveStrategy.guess_core(**params)
     if kind == "known_key":
-        return EveStrategy.known_key(params.get("key", control_key), group)
+        return EveStrategy.known_key(**params)
     return EveStrategy.bell_probe(**params)
 
 
@@ -249,10 +249,8 @@ def trial_config(spec: ExperimentSpec, point: dict, point_index: int, trial_inde
         key_rng = np.random.default_rng(trial_seed(spec.seed, point_index, 2**20 + trial_index))
         control_key = ControlKey.random(point["n_k"], key_rng)
     eve = session.eve
-    # ``_eve`` hands a known_key Eve given no key the session's own ControlKey object, and
-    # only she follows the key drawn for this trial: one given an equal key keeps it.
-    if eve is None or eve.kind != point["eve"] or eve.key is session.control_key:
-        eve = _eve(point["eve"], {}, control_key, session.group)
+    if eve is None or eve.kind != point["eve"]:
+        eve = _eve(point["eve"], {})
     return replace(
         session,
         noise=point["noise"],
@@ -512,7 +510,7 @@ def parse_experiment_string(text: str, name_hint: str = "<string>") -> Experimen
         raise ConfigError(f"{name_hint}: [rearrangement] perms: {exc}") from exc
     params = dict(got.get("eve", {}))
     try:
-        eve = _eve(params.pop("kind", "none"), params, session.control_key, session.group)
+        eve = _eve(params.pop("kind", "none"), params)
     except ValueError as exc:
         raise ConfigError(f"{name_hint}: [eve] {exc}") from exc
     session = replace(session, eve=eve)

@@ -33,6 +33,10 @@ raw-draw tape (``_run_tape``); every other session runs block by block
 noise, and let Bob Bell-measure each restored pair. Under a ``bell_probe``
 Eve, whose probe is not Clifford, every such block is the dense ``tensor``
 of Alice's four Bell states; every other block is a ``LabelRegister``.
+An engine only measures: it returns the prepared and measured uint8 pair
+columns, Eve's guess per block and her log. ``_run_session`` then derives
+the sifted pairs from the two op columns, runs the check and builds the
+transcript's columns, once for every engine.
 A tape block makes a fixed run of draws: 2 raw 64-bit draws for the
 symbols, 1 uniform for the probe if there is one, 8 when ``noise > 0``
 (upper qubits 0, 2, 4, 6, then lower slots 0-3, slot p on qubit
@@ -396,33 +400,24 @@ def _raw_labels(raw):
 
 
 def _check_records(
-    pairs: PairColumns,
-    check_fraction: float,
-    threshold: float,
-    rng: np.random.Generator,
-    eligible: Sequence[int] | np.ndarray,
-) -> tuple[VerdictReport, PairColumns]:
+    prepared: np.ndarray, measured: np.ndarray, check_fraction: float, threshold: float,
+    rng: np.random.Generator, eligible: Sequence[int] | np.ndarray,
+) -> tuple[VerdictReport, np.ndarray]:
     """The public comparison over the eligible (sifted) pairs.
 
-    Uniformly samples ceil(check_fraction * len(eligible)) of them, marks
-    them checked, compares symbols, and accepts iff the error rate does not
-    exceed the threshold. Checked pairs are excluded from the raw key.
-    Returns the verdict and the marked pairs.
+    Uniformly samples ceil(check_fraction * len(eligible)) of them, compares
+    symbols, and accepts iff the error rate does not exceed the threshold.
+    Returns the verdict and the mask of checked pairs, which the raw key
+    excludes. With no eligible pair the session is rejected without a draw.
     """
+    checked = np.zeros(len(prepared), bool)
     n_check = math.ceil(check_fraction * len(eligible))
-    chosen = rng.choice(eligible, size=n_check, replace=False) if n_check else []
-    checked = pairs.checked.copy()
+    if not n_check:
+        return VerdictReport(False, 1.0, threshold, 0), checked
+    chosen = rng.choice(eligible, size=n_check, replace=False)
     checked[chosen] = True
-    errors = int(np.count_nonzero(pairs.measured[chosen] != pairs.prepared[chosen]))
-    rate = errors / n_check if n_check else 0.0
-    verdict = VerdictReport(
-        accepted=rate <= threshold,
-        measured_error_rate=rate,
-        threshold=threshold,
-        checked_count=n_check,
-    )
-    marked = PairColumns(pairs.prepared, pairs.measured, checked, pairs.sifted)
-    return verdict, marked
+    rate = int(np.count_nonzero(measured[chosen] != prepared[chosen])) / n_check
+    return VerdictReport(rate <= threshold, rate, threshold, n_check), checked
 
 
 def extract_raw_key(transcript: SessionTranscript) -> tuple[int, ...]:
@@ -453,7 +448,7 @@ def _run_blocks(
     rng: np.random.Generator,
     alice_ops: Sequence[int],
     bob_ops: Sequence[int],
-) -> tuple[PairColumns, BlockColumns, EveLog | None]:
+) -> tuple[np.ndarray, np.ndarray, list[int], EveLog | None]:
     log = None if cfg.eve is None else EveLog()
     prepared: list[int] = []
     measured: list[int] = []
@@ -465,17 +460,13 @@ def _run_blocks(
         if dense:
             register = tensor(*map(bell_state, symbols))
         lower = apply_core(op_set[alice_ops[t]], LOWER)
-        register, guess = transmit(
-            register, UPPER, lower, cfg.eve, cfg.noise, rng, op_set=op_set, block_index=t, log=log
-        )
+        register, guess = transmit(register, UPPER, lower, cfg, rng, block_index=t, log=log)
         for qa, qb in zip(UPPER, invert_core(op_set[bob_ops[t]], lower)):
             outcome, register = bell_measure(register, qa, qb, rng)
             measured.append(outcome._value_)  # the Enum attribute, without the property call
         prepared += [s._value_ for s in symbols]
         eve_guess.append(-1 if guess is None else guess)
-    sifted = np.repeat(np.equal(alice_ops, bob_ops), BLOCK_SIZE)
-    pairs = PairColumns(prepared, measured, np.zeros(len(measured), bool), sifted)
-    return pairs, BlockColumns(alice_ops, bob_ops, eve_guess), log
+    return np.array(prepared, np.uint8), np.array(measured, np.uint8), eve_guess, log
 
 
 # The label XOR of each Pauli ``channel.depolarize`` applies, in its order.
@@ -512,7 +503,7 @@ def _session_tape(
 
 def _run_tape(
     cfg: SessionConfig, rng: np.random.Generator, ops: np.ndarray
-) -> tuple[PairColumns, BlockColumns, EveLog | None]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, EveLog | None]:
     """``_run_blocks`` for a keyed session with no Eve or one probing one duo per block.
 
     Bob reads each pair's ``label ^ flips``. Under the probe, the probe and
@@ -540,18 +531,15 @@ def _run_tape(
         measured[two, jt] = sample_rows(conditional, bob[two, jt])
         rows = np.arange(cfg.n_blocks)
         log = EveLog.of_probes(rows, np.zeros_like(rows), 1 - 2 * kp)
-    flags = np.zeros(labels.size, bool)  # every pair sifted, none checked yet
-    pairs = PairColumns(labels.ravel(), measured.ravel(), flags, ~flags)
-    return pairs, BlockColumns(ops, ops, np.full(len(ops), -1)), log
+    return labels.ravel(), measured.ravel(), np.full(len(ops), -1), log
 
 
 def _run_session(cfg: SessionConfig) -> SessionTranscript:
-    """Draw both parties' ops, run the blocks on their engine and check the sifted pairs.
+    """Draw both parties' ops, run the blocks on their engine, check the sifted pairs and build the transcript.
 
     The one engine choice: a keyed session with no Eve, or whose Eve probes
     one duo per block, runs from the tape; every other session runs block
-    by block. A bootstrap session that sifted no block is rejected without
-    a check.
+    by block.
     """
     rng = np.random.default_rng(cfg.seed)
     if cfg.mode == "keyed":
@@ -561,15 +549,15 @@ def _run_session(cfg: SessionConfig) -> SessionTranscript:
         bob_ops = rng.integers(0, 4, size=cfg.n_blocks)
     eve = cfg.eve
     if cfg.mode == "keyed" and (eve is None or (eve.kind == "bell_probe" and eve.budget == 1)):
-        pairs, blocks, log = _run_tape(cfg, rng, alice_ops)
+        prepared, measured, eve_guess, log = _run_tape(cfg, rng, alice_ops)
     else:
-        pairs, blocks, log = _run_blocks(cfg, rng, alice_ops.tolist(), bob_ops.tolist())
-    eligible = np.flatnonzero(pairs.sifted)
-    if eligible.size:
-        verdict, pairs = _check_records(pairs, cfg.check_fraction, cfg.error_threshold, rng, eligible)
-    else:
-        verdict = VerdictReport(False, 1.0, cfg.error_threshold, 0)
-    return SessionTranscript(cfg.mode, pairs, blocks, verdict, log)
+        prepared, measured, eve_guess, log = _run_blocks(cfg, rng, alice_ops.tolist(), bob_ops.tolist())
+    sifted = np.repeat(alice_ops == bob_ops, BLOCK_SIZE)
+    verdict, checked = _check_records(
+        prepared, measured, cfg.check_fraction, cfg.error_threshold, rng, np.flatnonzero(sifted)
+    )
+    pairs = PairColumns(prepared, measured, checked, sifted)
+    return SessionTranscript(cfg.mode, pairs, BlockColumns(alice_ops, bob_ops, eve_guess), verdict, log)
 
 
 def run_keyed_session(cfg: SessionConfig) -> SessionTranscript:

@@ -200,6 +200,8 @@ class ControlKey:
 
     @classmethod
     def random(cls, n_k: int, rng: np.random.Generator) -> "ControlKey":
+        if n_k < 1:
+            raise ValueError(f"key length must be at least 1 op index, not {n_k}")
         return cls(tuple(int(b) for b in rng.integers(0, 2, size=2 * n_k)))
 
     def as_bit_string(self) -> str:

@@ -64,9 +64,13 @@ class TestStrategyValidation:
         with pytest.raises(ValueError, match="four nonnegative"):
             EveStrategy.guess_core([])
 
-    def test_known_key_needs_a_key(self):
-        with pytest.raises(ValueError, match="key"):
-            EveStrategy(kind="known_key")
+    def test_known_key_without_a_key_holds_the_session_key(self):
+        cfg = SessionConfig(
+            n_blocks=40, control_key=ControlKey.from_indices([2, 1, 3]), seed=3, eve=EveStrategy.known_key()
+        )
+        transcript = run_keyed_session(cfg)
+        assert np.array_equal(transcript.blocks.eve_guess, transcript.blocks.alice_op)
+        assert transcript.verdict.measured_error_rate == 0.0
 
     def test_probe_needs_directions(self):
         with pytest.raises(ValueError, match="directions"):
@@ -176,6 +180,15 @@ class TestGuessAttackSampled:
         transcript = run_keyed_session(cfg)
         assert transcript.verdict.measured_error_rate == 0.0
         assert transcript.eve_bit_accuracy() == 1.0
+
+    def test_known_key_plays_the_session_group(self):
+        """A grouped session holds each op for two blocks, and so does the Eve who knows its key."""
+        key = ControlKey.from_indices([0, 1, 2, 3])
+        for eve in (EveStrategy.known_key(key), EveStrategy.known_key()):
+            cfg = SessionConfig(n_blocks=200, control_key=key, group=GroupConfig(2), seed=3, eve=eve)
+            transcript = run_keyed_session(cfg)
+            assert transcript.verdict.measured_error_rate == 0.0, eve
+            assert transcript.eve_bit_accuracy() == 1.0, eve
 
     def test_key_wrong_in_one_position(self):
         """Oracle: only the blocks driven by the corrupted position suffer."""

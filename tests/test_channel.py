@@ -16,7 +16,7 @@ from coreqkd.quantum import (
     bell_state,
     tensor,
 )
-from coreqkd.rearrange import LOWER, UPPER, CoreOpSet
+from coreqkd.rearrange import LOWER, UPPER
 
 
 def two_sided_depolarized_error(p: float) -> float:
@@ -37,7 +37,8 @@ class TestTransmitIdentity:
     def test_clean_channel_is_bit_identical(self):
         rng = np.random.default_rng(1)
         register = make_register(rng)
-        delivered, guess = transmit(register, UPPER, LOWER, None, 0.0, rng, op_set=CoreOpSet.cyclic())
+        session = SessionConfig(n_blocks=1, control_key=ControlKey.from_bits("00"))
+        delivered, guess = transmit(register, UPPER, LOWER, session, rng)
         assert guess is None
         assert np.array_equal(delivered.amps, register.amps)
 

@@ -72,6 +72,9 @@ BAD_SPECS = {
     "sweep_noise": (SESSION + "[sweep]\nnoise = 0.0 1.5\n", r"\[sweep\] cell 1 \(noise=1.5"),
     "sweep_n_blocks": (SESSION + "[sweep]\nn_blocks = 0\n", r"\[sweep\] cell 0 \(.*n_blocks=0\)"),
     "sweep_key_lengths": (SESSION + "[sweep]\nkey_lengths = 0\n", r"\[sweep\] cell 0 \(.*n_k=0"),
+    "sweep_negative_key_lengths": (
+        SESSION + "[sweep]\nkey_lengths = -1\n", r"\[sweep\] cell 0 \(.*n_k=-1, .*\): key length"
+    ),
     "negative_seed": ("[experiment]\nseed = -1\n" + SESSION, r"\[experiment\] seed"),
     "eve_budget": (SESSION + "[eve]\nkind = bell_probe\nbudget = x\n", r"\[eve\] budget"),
     "eve_nan_weights": (

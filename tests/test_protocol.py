@@ -15,7 +15,6 @@ from coreqkd.adversary import EveStrategy
 from coreqkd.protocol import (
     BlockRecord,
     InsufficientSiftError,
-    PairColumns,
     PairRecord,
     RejectedTranscriptError,
     SessionConfig,
@@ -193,9 +192,9 @@ class TestKeyedSession:
 
 
 def check_all(pairs, check_fraction, threshold, rng):
-    """The eavesdropping check over synthetic records, every pair eligible."""
-    records = synthetic_transcript(pairs).records
-    return _check_records(records, check_fraction, threshold, rng, range(len(records)))
+    """The eavesdropping check over (prepared, measured) pairs, every pair eligible."""
+    prepared, measured = (np.array([s.value for s in column], np.uint8) for column in zip(*pairs))
+    return _check_records(prepared, measured, check_fraction, threshold, rng, range(len(pairs)))
 
 
 class TestEavesdropCheck:
@@ -204,7 +203,7 @@ class TestEavesdropCheck:
         verdict, checked = check_all(pairs, 0.5, 0.1, np.random.default_rng(0))
         assert verdict.accepted and verdict.measured_error_rate == 0.0
         assert verdict.checked_count == 4
-        assert sum(1 for r in checked if r.checked) == 4
+        assert checked.dtype == bool and np.count_nonzero(checked) == 4
 
     def test_vacuous_threshold_always_accepts(self):
         pairs = [(BellState.PSI_MINUS, BellState.PHI_PLUS)] * 8  # all wrong
@@ -217,6 +216,15 @@ class TestEavesdropCheck:
         ] * 2
         verdict, _ = check_all(pairs, 0.999, 0.25, np.random.default_rng(1))
         assert verdict.accepted == (verdict.measured_error_rate <= 0.25)
+
+    def test_no_eligible_pair_rejects_without_a_draw(self):
+        rng = np.random.default_rng(2)
+        state = rng.bit_generator.state
+        prepared = np.zeros(8, np.uint8)
+        verdict, checked = _check_records(prepared, prepared, 0.5, 0.1, rng, np.array([], np.intp))
+        assert verdict == VerdictReport(False, 1.0, 0.1, 0)
+        assert checked.shape == (8,) and not checked.any()
+        assert rng.bit_generator.state == state
 
     def test_wrong_guess_eve_rejected_with_high_probability(self):
         """Oracle: the binomial tail at p = 0.5625 over 200 checked pairs."""
@@ -367,6 +375,11 @@ def blocks_for_tape(cfg: SessionConfig, rng, ops: np.ndarray):
     return protocol._run_blocks(cfg, rng, ops.tolist(), ops.tolist())
 
 
+def same_engine_output(a, b) -> bool:
+    """Two engines' ``(prepared, measured, eve_guess, log)``: equal columns and equal logs."""
+    return all(np.array_equal(x, y) for x, y in zip(a[:3], b[:3])) and a[3] == b[3]
+
+
 def per_block_keyed_session(cfg: SessionConfig) -> SessionTranscript:
     """A keyed session on the per-block engine, which ``run_keyed_session`` skips without Eve or for one-duo probes."""
     with pytest.MonkeyPatch.context() as patch:
@@ -405,8 +418,9 @@ def sessions(draw):
         None,
         EveStrategy.guess_core(),
         EveStrategy.guess_core(list(weights / weights.sum())),
-        EveStrategy.known_key(key, group),
-        EveStrategy.known_key(ControlKey.random(int(rng.integers(1, 5)), rng), group),
+        EveStrategy.known_key(key),
+        EveStrategy.known_key(ControlKey.random(int(rng.integers(1, 5)), rng)),
+        EveStrategy.known_key(),
         EveStrategy.bell_probe(
             Direction.normalized(*rng.normal(size=3)),
             Direction.normalized(*rng.normal(size=3)),
@@ -562,10 +576,10 @@ class TestProbeTape:
             cfg = SessionConfig(n_blocks=n, control_key=KEY_ALL_OPS, noise=noise, eve=EveStrategy.bell_probe(a, b))
             ops = op_index_for_block(cfg.control_key, cfg.group, np.arange(n))
             stream = RawStream(raws.ravel())
-            pairs, _, log = protocol._run_tape(cfg, stream, ops)
+            got_prepared, got_measured, _, log = protocol._run_tape(cfg, stream, ops)
             reference = RawStream(raws.ravel())
             prepared, measured, outcomes = scalar_probe_session(cfg, reference, ops.tolist())
-            assert pairs.prepared.tolist() == prepared and pairs.measured.tolist() == measured
+            assert np.array_equal(got_prepared, prepared) and np.array_equal(got_measured, measured)
             assert [p.outcome for p in log.probes] == outcomes
             assert stream.used == reference.used == raws.size
 
@@ -620,7 +634,7 @@ class TestCleanTape:
             cfg = SessionConfig(n_blocks=n, control_key=KEY_ALL_OPS, noise=noise, op_set=op_set)
             ops = op_index_for_block(cfg.control_key, cfg.group, np.arange(n))
             got = protocol._run_tape(cfg, RawStream(raws.ravel()), ops)
-            assert got == blocks_for_tape(cfg, RawStream(raws.ravel()), ops)
+            assert same_engine_output(got, blocks_for_tape(cfg, RawStream(raws.ravel()), ops))
 
     def test_only_keyed_eve_free_sessions_skip_the_block_loop(self, monkeypatch):
         calls = []
@@ -657,8 +671,8 @@ class TestTape:
             ops = op_index_for_block(cfg.control_key, cfg.group, np.arange(cfg.n_blocks))
             tape, blocks = np.random.default_rng(seed), np.random.default_rng(seed)
             got = protocol._run_tape(cfg, tape, ops)
-            assert got == blocks_for_tape(cfg, blocks, ops)
-            assert got[0].prepared.dtype == got[0].measured.dtype == np.uint8
+            assert same_engine_output(got, blocks_for_tape(cfg, blocks, ops))
+            assert got[0].dtype == got[1].dtype == np.uint8
             assert tape.bit_generator.state == blocks.bit_generator.state
 
     def test_the_engine_of_each_mode_and_eve(self, monkeypatch):
@@ -805,17 +819,16 @@ class TestColumnarTranscript:
            fraction=st.floats(0.01, 0.99))
     def test_an_array_pool_checks_the_same_pairs_as_a_list(self, seed, n, fraction):
         data = np.random.default_rng(seed)
-        prepared = data.integers(0, 4, size=n)
-        measured = np.where(data.random(n) < 0.3, data.integers(0, 4, size=n), prepared)
-        pairs = PairColumns(prepared, measured, np.zeros(n, bool), np.ones(n, bool))
+        prepared = data.integers(0, 4, size=n).astype(np.uint8)
+        measured = np.where(data.random(n) < 0.3, data.integers(0, 4, size=n), prepared).astype(np.uint8)
         pool = np.flatnonzero(data.random(n) < data.random())
         if not pool.size:
             pool = np.array([n - 1])
         results = []
         for eligible in (pool.tolist(), pool):
             rng = np.random.default_rng(seed)
-            verdict, marked = _check_records(pairs, fraction, 0.1, rng, eligible)
-            results.append((verdict, marked.checked, rng.bit_generator.state))
+            verdict, checked = _check_records(prepared, measured, fraction, 0.1, rng, eligible)
+            results.append((verdict, checked, rng.bit_generator.state))
         (v_list, c_list, s_list), (v_array, c_array, s_array) = results
         assert v_list == v_array
         np.testing.assert_array_equal(c_list, c_array)

@@ -6,9 +6,11 @@ size=n)``, and a key-length sweep draws each trial key with
 range of 2 or 4, numpy's Lemire method maps a 32-bit draw u to
 ``u * range >> 32`` and never rejects. The 32-bit draws are halves of raw
 64-bit words, low half first; the high half stays buffered in the bit
-generator, also across calls. These tests pin that against a replica, so
-that a numpy release that changes it fails here by name rather than as
-unexplained report digests.
+generator, also across calls. The eavesdropping check picks its pairs
+with ``rng.choice(eligible, k, replace=False)``, whose set is read off
+the same halves by Lemire draws over wider ranges (``choice_set``). These
+tests pin that against a replica, so that a numpy release that changes it
+fails here by name rather than as unexplained report digests.
 """
 
 import numpy as np
@@ -70,3 +72,62 @@ def test_key_bit_draws_read_the_raw_words(n):
         assert rng.integers(0, 2, size=n).tolist() == replica.integers(2, n), mismatch("a second draw", seed, n)
         key = ControlKey.random(n, np.random.default_rng(seed))
         assert list(key.bits) == RawHalves(seed).integers(2, 2 * n), mismatch("ControlKey.random", seed, n)
+
+
+def bounded_draws(seed: int, highs: np.ndarray) -> np.ndarray:
+    """numpy's Lemire draw over [0, j] for each j of ``highs`` in turn, from ``seed``'s 32-bit halves.
+
+    A draw maps a half u to ``u * (j + 1) >> 32`` and rejects u while the
+    low 32 bits of the product fall below ``2**32 % (j + 1)``; j = 0 draws
+    nothing. Vectorised up to each rejection.
+    """
+    replica = RawHalves(seed)
+    highs = np.asarray(highs, np.uint64)
+    drawn = np.zeros(len(highs), np.uint64)
+    todo = np.flatnonzero(highs)
+    halves = np.empty(0, np.uint64)
+    while todo.size:
+        if len(halves) < todo.size:
+            words = replica.bit_generator.random_raw((todo.size - len(halves) + 1) // 2)
+            halves = np.concatenate([halves, np.stack([words & 0xFFFFFFFF, words >> 32], axis=1).ravel()])
+        span = highs[todo] + 1
+        product = halves[: todo.size] * span
+        rejected = np.flatnonzero(product & 0xFFFFFFFF < 2**32 % span)
+        stop = rejected[0] if rejected.size else todo.size
+        drawn[todo[:stop]] = product[:stop] >> 32
+        todo, halves = todo[stop:], halves[stop + 1 :]  # a rejected half is spent, its j draws again
+    return drawn
+
+
+def choice_set(seed: int, n: int, k: int) -> set[int]:
+    """The set ``rng.choice(n, k, replace=False)`` picks from a fresh generator of ``seed``.
+
+    Floyd's insertion when n <= 10000 or k <= n // 50: for j = n-k ... n-1
+    draw v over [0, j] and insert v, or j if v is in already. Otherwise a
+    tail Fisher-Yates (k < n): for i = n-1 down to n-k swap position i with a
+    draw over [0, i], and keep the last k positions. Floyd's then shuffles
+    its picks, which moves the stream but not the set.
+    """
+    if n <= 10000 or k <= n // 50:
+        chosen: set[int] = set()
+        for j, v in zip(range(n - k, n), bounded_draws(seed, np.arange(n - k, n)).tolist()):
+            chosen.add(j if v in chosen else v)
+        return chosen
+    moved: dict[int, int] = {}
+    picked = []
+    for i, j in zip(range(n - 1, n - k - 1, -1), bounded_draws(seed, np.arange(n - 1, n - k - 1, -1)).tolist()):
+        picked.append(moved.get(j, j))
+        moved[j] = moved.get(i, i)
+    return set(picked)
+
+
+# (n, k) in Floyd's regime, then in the tail regime; (10000, 5000) is the
+# check of a paper-table session and (100000, 50000) that of criterion 3.
+CHOICE_ARGS = [(1, 1), (3, 1), (3, 3), (256, 128), (9000, 1), (10000, 5000), (100000, 2000), (10001, 201), (100000, 50000)]
+
+
+@pytest.mark.parametrize("n, k", CHOICE_ARGS)
+def test_the_check_draw_reads_the_raw_words(n, k):
+    for seed in SEEDS:
+        got = np.random.default_rng(seed).choice(np.arange(n), size=k, replace=False)
+        assert set(got.tolist()) == choice_set(seed, n, k), mismatch(f"rng.choice of {k}", seed, n)
